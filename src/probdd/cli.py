@@ -43,6 +43,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a bad value becomes a usage error, not a traceback."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -230,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compilation guard on the variable count")
         if sampling:
             p.add_argument("--weights", help="literal weight file (default: uniform)")
-            p.add_argument("-k", type=int, default=100, help="samples per round")
+            p.add_argument("-k", type=_positive_int, default=100, help="samples per round")
             p.add_argument("--seed", type=int, default=None,
                            help=f"RNG seed (falls back to ${SEED_ENV_VAR}, then 1)")
             p.add_argument("--mode", choices=["log", "rational"], default="log",
@@ -253,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inc = sub.add_parser("inc", help="incremental multi-round sampling")
     add_common(p_inc, cnf=True, sampling=True)
-    p_inc.add_argument("--rounds", type=int, default=10, help="number of sampling rounds")
+    p_inc.add_argument("--rounds", type=_positive_int, default=10, help="number of sampling rounds")
     p_inc.set_defaults(func=cmd_inc)
 
     p_check = sub.add_parser("check", help="verify structural properties of a diagram file")

@@ -19,10 +19,6 @@ logger = logging.getLogger(__name__)
 Clause = tuple[int, ...]
 
 
-def negate(lit: int) -> int:
-    return -lit
-
-
 def normalize_clause(lits: Iterable[int]) -> Clause | None:
     """Deduplicate and sort a clause by variable; None for tautologies."""
     seen = set(lits)

@@ -294,8 +294,6 @@ def import_prob(text: str) -> Prob:
                     raise ParseError(f"node {nid}: parameters must be finite")
                 if node.theta_lo < 0 or node.theta_hi < 0:
                     raise ParseError(f"node {nid}: parameters must be non-negative")
-                node.log_theta_lo = math.log(node.theta_lo) if node.theta_lo > 0 else float("-inf")
-                node.log_theta_hi = math.log(node.theta_hi) if node.theta_hi > 0 else float("-inf")
         elif kind == "A":
             if len(parts) < 3:
                 raise ParseError(f"node {nid}: conjunction lines are '<id> A <k> <children...>'")

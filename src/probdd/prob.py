@@ -6,20 +6,25 @@ shared false and true terminals. Decision nodes branch on one variable
 of branch probabilities once parameterized; conjunction nodes combine
 sub-diagrams over disjoint variable sets.
 
-Joint probabilities are annotated bottom-up in log space: the value of a
-conjunction node is the sum of its children's values, and the value of a
-decision node is the log-sum-exp of its two weighted branches. Edges
-into the false terminal contribute probability zero and are skipped, so
-zero-probability nodes are simply absent from the annotation cache. An
-exact-rational twin of the annotation exists for oracle-grade counting.
+Joint probabilities are annotated bottom-up by one routine over an
+arithmetic record: log space (values are log probabilities, products are
+sums and sums are log-sum-exp) or exact rationals for oracle-grade
+counting. The value of a conjunction node is the product of its
+children's values, and the value of a decision node is the sum of its
+two weighted branches. Zero probability is encoded as absence: edges
+into the false terminal or with a zero branch parameter contribute
+nothing, so zero-probability nodes are missing from the annotation. The
+same routine yields, for every positive decision node, the conditional
+probability of its hi branch, which is all a sampler needs to draw.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -43,8 +48,6 @@ class Node:
     children: tuple[int, ...] = ()
     theta_lo: float | None = None
     theta_hi: float | None = None
-    log_theta_lo: float = NEG_INF
-    log_theta_hi: float = NEG_INF
 
 
 class Prob:
@@ -247,19 +250,22 @@ def parameterize(prob: Prob, weights: WeightFunction) -> Prob:
 
     For a decision on x: theta_lo = W(-x) / (W(-x) + W(x)) and theta_hi
     its complement. Idempotent; calling again with new weights is the
-    incremental update path and never touches the structure.
+    incremental update path and never touches the structure. A pair
+    whose sum overflows is first divided by its larger weight.
     """
     for node in prob.nodes:
         if node.kind != "D":
             continue
         w_neg, w_pos = weights.pair(node.var)
         total = w_neg + w_pos
+        if math.isinf(total):
+            top = max(w_neg, w_pos)
+            w_neg, w_pos = w_neg / top, w_pos / top
+            total = w_neg + w_pos
         if not total > 0:
             raise WeightError(f"variable {node.var}: W(x) + W(-x) must be positive")
         node.theta_lo = w_neg / total
         node.theta_hi = w_pos / total
-        node.log_theta_lo = math.log(node.theta_lo) if node.theta_lo > 0 else NEG_INF
-        node.log_theta_hi = math.log(node.theta_hi) if node.theta_hi > 0 else NEG_INF
     prob.parameterized = True
     return prob
 
@@ -279,7 +285,9 @@ def smooth(prob: Prob) -> Prob:
         prob.smooth = True
         return prob
 
-    kappa: dict[int, frozenset[int]] = {}
+    # Smoothing only adds variables the other branch already covers, so
+    # every node's variable set before smoothing is also its final set.
+    kappa = var_sets(prob)
     dont_care: dict[int, int] = {}
     for nid, node in enumerate(prob.nodes):
         if node.kind == "D" and node.lo == TRUE_ID and node.hi == TRUE_ID:
@@ -293,7 +301,6 @@ def smooth(prob: Prob) -> Prob:
         if nid is None:
             nid = prob.add_decision(var, TRUE_ID, TRUE_ID)
             dont_care[var] = nid
-            kappa[nid] = frozenset((var,))
             created = True
         return nid
 
@@ -314,24 +321,18 @@ def smooth(prob: Prob) -> Prob:
             new = kids[0]
         else:
             new = prob.add_conj(kids)
-            kappa[new] = kappa.get(child, frozenset()) | missing
             created = True
         wrap_cache[key] = new
         return new
 
-    for nid in prob.topo_order():
+    for nid in kappa:  # the reachable nodes, children first
         node = prob.nodes[nid]
-        if node.kind in ("T", "F"):
-            kappa[nid] = frozenset()
-        elif node.kind == "A":
-            kappa[nid] = frozenset().union(*(kappa[c] for c in node.children))
-        else:
+        if node.kind == "D":
             lo_set, hi_set = kappa[node.lo], kappa[node.hi]
             if hi_set - lo_set:
                 node.lo = wrap(node.lo, hi_set - lo_set)
             if lo_set - hi_set:
                 node.hi = wrap(node.hi, lo_set - hi_set)
-            kappa[nid] = kappa[node.lo] | kappa[node.hi] | {node.var}
 
     missing_root = frozenset(range(1, prob.num_vars + 1)) - kappa[prob.root]
     if missing_root:
@@ -353,38 +354,78 @@ def log_sum_exp(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def _edge_log(log_theta: float, child_value: float | None) -> float:
-    if child_value is None or log_theta == NEG_INF:
-        return NEG_INF
-    return log_theta + child_value
+def _log_fraction(value: Fraction) -> float:
+    """Natural log of a positive Fraction, also below the smallest positive double."""
+    as_float = float(value)
+    if as_float > 0:
+        return math.log(as_float)
+    return math.log(value.numerator) - math.log(value.denominator)
 
 
-def decision_edge_logs(node: Node, phi: dict[int, float]) -> tuple[float, float]:
-    """Log probabilities of the two weighted branches of a decision node."""
-    return (
-        _edge_log(node.log_theta_lo, phi.get(node.lo)),
-        _edge_log(node.log_theta_hi, phi.get(node.hi)),
-    )
+@dataclass(frozen=True)
+class Arithmetic:
+    """The number system annotation values live in.
+
+    one is the value of probability one, lift turns a positive branch
+    parameter into a value, mul and add are the product and sum of two
+    values, ratio(hi, total) is the float probability hi / total and log
+    the natural log of a value as a float. Probability zero has no value.
+    """
+
+    one: Any
+    lift: Callable[[float], Any]
+    mul: Callable[[Any, Any], Any]
+    add: Callable[[Any, Any], Any]
+    ratio: Callable[[Any, Any], float]
+    log: Callable[[Any], float]
 
 
-def node_log_prob(node: Node, phi: dict[int, float]) -> float | None:
-    """Log joint probability of one node given its children's; None = zero."""
-    if node.kind == "T":
-        return 0.0
-    if node.kind == "F":
-        return None
-    if node.kind == "A":
-        total = 0.0
-        for child in node.children:
-            value = phi.get(child)
-            if value is None:
-                return None
-            total += value
-        return total
-    p_lo, p_hi = decision_edge_logs(node, phi)
-    if p_lo == NEG_INF and p_hi == NEG_INF:
-        return None
-    return log_sum_exp(p_lo, p_hi)
+LOG = Arithmetic(0.0, math.log, operator.add, log_sum_exp, lambda hi, total: math.exp(hi - total), float)
+RATIONAL = Arithmetic(Fraction(1), Fraction, operator.mul, operator.add, lambda hi, total: float(hi / total), _log_fraction)
+ARITHMETICS = {"log": LOG, "rational": RATIONAL}
+
+
+def annotate_branches(prob: Prob, arith: Arithmetic, order: list[int]) -> tuple[dict[int, Any], dict[int, float]]:
+    """Joint probability of every reachable node and branch odds of every decision.
+
+    order is prob.topo_order(), passed in so that a caller walking the
+    diagram again computes it once. Returns (phi, p_hi). phi maps each
+    node of positive probability to its value in `arith`; the false
+    terminal and every node whose sub-diagram has probability zero are
+    absent. p_hi maps each decision node in phi to the conditional
+    probability of its hi branch, exactly 1.0 or 0.0 when the other
+    branch has probability zero.
+    """
+    if not prob.parameterized:
+        raise StructureError("diagram is not parameterized", property_name="parameters")
+    one, lift, mul, add, ratio = arith.one, arith.lift, arith.mul, arith.add, arith.ratio
+    nodes = prob.nodes
+    phi: dict[int, Any] = {}
+    p_hi: dict[int, float] = {}
+    for nid in order:
+        node = nodes[nid]
+        if node.kind == "T":
+            phi[nid] = one
+        elif node.kind == "A":
+            value = one
+            for child in node.children:
+                if child not in phi:
+                    break
+                value = mul(value, phi[child])
+            else:
+                phi[nid] = value
+        elif node.kind == "D":
+            lo = mul(lift(node.theta_lo), phi[node.lo]) if node.theta_lo > 0 and node.lo in phi else None
+            hi = mul(lift(node.theta_hi), phi[node.hi]) if node.theta_hi > 0 and node.hi in phi else None
+            if hi is None:
+                if lo is not None:
+                    phi[nid], p_hi[nid] = lo, 0.0
+            elif lo is None:
+                phi[nid], p_hi[nid] = hi, 1.0
+            else:
+                phi[nid] = total = add(lo, hi)
+                p_hi[nid] = ratio(hi, total)
+    return phi, p_hi
 
 
 def annotate(prob: Prob) -> dict[int, float]:
@@ -395,53 +436,12 @@ def annotate(prob: Prob) -> dict[int, float]:
     probability mass of satisfying assignments; with the normalized
     branch parameters it always lies in [0, 1].
     """
-    if not prob.parameterized:
-        raise StructureError("diagram is not parameterized", property_name="parameters")
-    phi: dict[int, float] = {}
-    for nid in prob.topo_order():
-        value = node_log_prob(prob.nodes[nid], phi)
-        if value is not None:
-            phi[nid] = value
-    return phi
-
-
-def decision_edge_fractions(node: Node, phi: dict[int, Fraction]) -> tuple[Fraction, Fraction]:
-    zero = Fraction(0)
-    p_lo = phi.get(node.lo)
-    p_hi = phi.get(node.hi)
-    lo = Fraction(node.theta_lo) * p_lo if p_lo is not None else zero
-    hi = Fraction(node.theta_hi) * p_hi if p_hi is not None else zero
-    return lo, hi
-
-
-def node_rational_prob(node: Node, phi: dict[int, Fraction]) -> Fraction | None:
-    if node.kind == "T":
-        return Fraction(1)
-    if node.kind == "F":
-        return None
-    if node.kind == "A":
-        total = Fraction(1)
-        for child in node.children:
-            value = phi.get(child)
-            if value is None:
-                return None
-            total *= value
-        return total
-    p_lo, p_hi = decision_edge_fractions(node, phi)
-    total = p_lo + p_hi
-    return total if total > 0 else None
+    return annotate_branches(prob, LOG, prob.topo_order())[0]
 
 
 def annotate_rational(prob: Prob) -> dict[int, Fraction]:
     """Exact-rational twin of annotate, over the same branch parameters."""
-    if not prob.parameterized:
-        raise StructureError("diagram is not parameterized", property_name="parameters")
-    phi: dict[int, Fraction] = {}
-    for nid in prob.topo_order():
-        value = node_rational_prob(prob.nodes[nid], phi)
-        if value is not None:
-            phi[nid] = value
-    return phi
+    return annotate_branches(prob, RATIONAL, prob.topo_order())[0]
 
 
 def weighted_model_count(prob: Prob, weights: WeightFunction, mode: str = "log"):

@@ -1,14 +1,17 @@
 """Bottom-up weighted sampling and the incremental multi-round driver.
 
-A batch of k samples is drawn in a single bottom-up pass over the
-diagram. While walking the nodes in topological order the pass computes
-each node's joint probability (the annotation) and, in the same visit,
-the k partial samples of that node: the true terminal contributes empty
-partials, a conjunction node bitwise-ORs its children's partials (their
-assigned variables are disjoint by decomposability), and a decision node
-flips k independent coins with the conditional probability of its hi
-branch and extends the chosen child's partials with the decided literal.
-Smoothness guarantees the root's partials are complete assignments.
+A batch of k samples is drawn in two steps: annotate once, then draw.
+The annotation (in log or exact rational arithmetic) gives each node's
+joint probability and each decision node's conditional probability of
+its hi branch. The drawing pass then walks the nodes in topological
+order and builds the k partial samples of every node of positive
+probability: the true terminal contributes empty partials, a
+conjunction node bitwise-ORs its children's partials (their assigned
+variables are disjoint by decomposability), and a decision node flips k
+independent coins with its hi-branch probability and extends the chosen
+child's partials with the decided literal. A decision whose other branch
+has probability zero is forced and flips no coins. Smoothness guarantees
+the root's partials are complete assignments.
 
 Randomness is counter-based: every decision node owns a Philox stream
 keyed by (seed, its position in the traversal order), and sample index i
@@ -22,7 +25,6 @@ and this one makes results reproducible.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,17 +35,7 @@ import numpy as np
 from .cnf import Assignment, CnfFormula, WeightFunction
 from .compiler import VariableOrdering, choose_ordering, compile_cnf, DEFAULT_MAX_VARS
 from .errors import StructureError, ZeroProbabilityError
-from .prob import (
-    FALSE_ID,
-    NEG_INF,
-    Prob,
-    decision_edge_fractions,
-    decision_edge_logs,
-    node_log_prob,
-    node_rational_prob,
-    parameterize,
-    smooth,
-)
+from .prob import ARITHMETICS, FALSE_ID, Prob, annotate_branches, parameterize, smooth
 
 MASK64 = (1 << 64) - 1
 
@@ -120,18 +112,17 @@ def _node_uniforms(seed: int, stream: int, start: int, stop: int) -> np.ndarray:
     return uniforms[offset:] if offset else uniforms
 
 
-def _pass(prob: Prob, order: list[int], start: int, stop: int, seed: int, mode: str):
-    """One fused annotation-and-sampling sweep for sample indices [start, stop).
+def _pass(prob: Prob, order: list[int], phi: dict, p_hi: dict[int, float], start: int, stop: int, seed: int):
+    """The drawing sweep for sample indices [start, stop); returns the root's masks.
 
-    Returns (phi, root_masks); phi maps node id to its log (or rational)
-    joint probability with zero-probability nodes absent, and root_masks
-    is None when the root itself has probability zero.
+    phi holds the nodes of positive probability and p_hi the hi-branch
+    probability of each of their decisions; p_hi 1.0 or 0.0 forces a
+    branch without drawing, exactly as the coins u < 1.0 and u < 0.0
+    would. Coin stream i belongs to the node at position i of `order`.
     """
     nodes = prob.nodes
     words = max(1, (prob.num_vars + 63) // 64)
     count = stop - start
-    rational = mode == "rational"
-    phi: dict[int, object] = {}
     store: dict[int, np.ndarray] = {}
 
     remaining: dict[int, int] = {}
@@ -140,10 +131,8 @@ def _pass(prob: Prob, order: list[int], start: int, stop: int, seed: int, mode: 
             remaining[child] = remaining.get(child, 0) + 1
 
     for stream, nid in enumerate(order):
-        node = nodes[nid]
-        value = node_rational_prob(node, phi) if rational else node_log_prob(node, phi)
-        if value is not None:
-            phi[nid] = value
+        if nid in phi:
+            node = nodes[nid]
             if node.kind == "T":
                 store[nid] = np.zeros((count, words), dtype=np.uint64)
             elif node.kind == "A":
@@ -152,22 +141,13 @@ def _pass(prob: Prob, order: list[int], start: int, stop: int, seed: int, mode: 
                     vals |= store[child]
                 store[nid] = vals
             else:
-                if rational:
-                    p_lo, p_hi = decision_edge_fractions(node, phi)
-                    hi_only = p_lo == 0
-                    lo_only = p_hi == 0
-                    p_cond = float(p_hi / (p_lo + p_hi)) if not (hi_only or lo_only) else 0.0
-                else:
-                    p_lo, p_hi = decision_edge_logs(node, phi)
-                    hi_only = p_lo == NEG_INF
-                    lo_only = p_hi == NEG_INF
-                    p_cond = math.exp(p_hi - value) if not (hi_only or lo_only) else 0.0
+                p_cond = p_hi[nid]
                 word, bit = divmod(node.var - 1, 64)
                 bitval = np.uint64(1 << bit)
-                if hi_only:
+                if p_cond == 1.0:
                     vals = store[node.hi].copy()
                     vals[:, word] |= bitval
-                elif lo_only:
+                elif p_cond == 0.0:
                     vals = store[node.lo].copy()
                 else:
                     take = _node_uniforms(seed, stream, start, stop) < p_cond
@@ -180,7 +160,7 @@ def _pass(prob: Prob, order: list[int], start: int, stop: int, seed: int, mode: 
             remaining[child] -= 1
             if remaining[child] == 0 and child != prob.root:
                 store.pop(child, None)
-    return phi, store.get(prob.root)
+    return store[prob.root]
 
 
 def _chunk_ranges(k: int, parts: int) -> list[tuple[int, int]]:
@@ -199,14 +179,16 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
     """Draw k satisfying assignments with replacement, weighted per the parameters.
 
     Each sample is distributed with probability W(assignment) / N where N
-    is the weighted model count. mode 'rational' computes annotations in
-    exact rational arithmetic instead of log space; the drawn bits use
-    the same per-node streams either way. threads > 1 splits the batch
-    across worker threads without changing the result.
+    is the weighted model count. The diagram is annotated once per call;
+    mode 'rational' does so in exact rational arithmetic instead of log
+    space, and the drawn bits use the same per-node streams either way.
+    threads > 1 splits the drawing pass across worker threads without
+    changing the result.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if mode not in ("log", "rational"):
+    arith = ARITHMETICS.get(mode)
+    if arith is None:
         raise ValueError(f"unknown mode {mode!r}")
     if not prob.smooth:
         raise StructureError("sampling requires a smoothed diagram", property_name="smoothness")
@@ -216,21 +198,17 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
         raise ZeroProbabilityError("the diagram is unsatisfiable")
 
     order = prob.topo_order()
-    if threads <= 1:
-        phi, root_masks = _pass(prob, order, 0, k, seed, mode)
+    phi, p_hi = annotate_branches(prob, arith, order)
+    if prob.root not in phi:
+        raise ZeroProbabilityError("no satisfying assignment has positive probability under these weights")
+    if threads <= 1:  # in the calling thread: a pool would add its own memory
+        masks = _pass(prob, order, phi, p_hi, 0, k, seed)
     else:
         ranges = _chunk_ranges(k, threads)
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            results = list(pool.map(lambda r: _pass(prob, order, r[0], r[1], seed, mode), ranges))
-        phi = results[0][0]
-        parts = [masks for _, masks in results]
-        root_masks = None if parts[0] is None else np.concatenate(parts, axis=0)
-
-    if root_masks is None:
-        raise ZeroProbabilityError("no satisfying assignment has positive probability under these weights")
-    root_value = phi[prob.root]
-    root_log_prob = math.log(float(root_value)) if mode == "rational" else float(root_value)
-    return SampleBatch(masks=root_masks, num_vars=prob.num_vars, seed=seed, root_log_prob=root_log_prob)
+            parts = list(pool.map(lambda r: _pass(prob, order, phi, p_hi, r[0], r[1], seed), ranges))
+        masks = np.concatenate(parts, axis=0)
+    return SampleBatch(masks=masks, num_vars=prob.num_vars, seed=seed, root_log_prob=arith.log(phi[prob.root]))
 
 
 def update_weights(prob: Prob, new_weights: WeightFunction) -> None:
@@ -267,8 +245,8 @@ def default_update_rule(batch: SampleBatch, previous: WeightFunction) -> WeightF
 class RoundReport:
     """Timing and output of one sampling round.
 
-    wall_time covers re-parameterization plus the sampling pass (which
-    includes annotation); compile_s and smooth_s are nonzero only in the
+    wall_time covers re-parameterization plus sampling (annotation and
+    the drawing pass); compile_s and smooth_s are nonzero only in the
     round that built the diagram.
     """
 

@@ -127,6 +127,27 @@ class TestSampleCommand:
         assert len(out.read_text().splitlines()) == 10
 
 
+class TestCountArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "-k", "0"],
+            ["sample", "-k", "-3"],
+            ["sample", "-k", "ten"],
+            ["dist", "-k", "0"],
+            ["inc", "--rounds", "0"],
+            ["inc", "-k", "0"],
+        ],
+    )
+    def test_non_positive_count_is_usage_error(self, cnf_file, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main([argv[0], "--cnf", cnf_file, *argv[1:]])
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "expected a positive integer" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestIncCommand:
     def test_csv_and_model_lines(self, cnf_file, weights_file, tmp_path, capsys):
         models = tmp_path / "models.txt"

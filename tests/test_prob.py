@@ -25,11 +25,13 @@ from probdd import (
     model_masks,
     parse_dimacs,
     parameterize,
+    sample,
     smooth,
     var_sets,
     weighted_model_count,
 )
 from probdd.errors import StructureError, WeightError
+from probdd.oracle import satisfies_masks
 from probdd.prob import FALSE_ID, TRUE_ID, Node
 
 from helpers import EXAMPLE_DIMACS, EXAMPLE_MODELS, random_mixed_cnf, random_weights
@@ -113,6 +115,16 @@ class TestParameterize:
         _, prob = example_smooth
         with pytest.raises(WeightError):
             parameterize(prob, WeightFunction({2: 0.0, -2: 0.0}))
+
+    def test_overflowing_pair_sum_is_rescaled(self, example_smooth):
+        formula, prob = example_smooth
+        parameterize(prob, WeightFunction({lit: 1e308 for v in (1, 2, 3) for lit in (v, -v)}))
+        assert {(n.theta_lo, n.theta_hi) for n in prob.nodes if n.kind == "D"} == {(0.5, 0.5)}
+        batch = sample(prob, 50, seed=1)
+        assert satisfies_masks(formula, batch.masks).all()
+        parameterize(prob, WeightFunction({1: 1.5e308, -1: 0.5e308}))
+        root = prob.nodes[prob.root]
+        assert math.isclose(root.theta_hi, 0.75) and math.isclose(root.theta_lo, 0.25)
 
     def test_theta_pair_sums_to_one(self, example_smooth):
         _, prob = example_smooth

@@ -1,5 +1,8 @@
+import hashlib
 import math
 import random
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,9 +29,10 @@ from probdd import (
 )
 from probdd.errors import StructureError, ZeroProbabilityError
 from probdd.oracle import satisfies_masks
-from probdd.sampler import SampleBatch, _pass, round_reports_csv, round_seed
+from probdd.prob import ARITHMETICS, annotate_branches
+from probdd.sampler import SampleBatch, round_reports_csv, round_seed
 
-from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, random_mixed_cnf, random_weights
+from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, compile_heavy_formula, random_mixed_cnf, random_weights
 
 
 def example_prob(weights_text=EXAMPLE_WEIGHTS):
@@ -139,6 +143,16 @@ class TestSample:
         report = compare(sample(prob, 100_000, seed=8, mode="rational"), exact)
         assert report.tv_distance < 0.01
 
+    def test_rational_root_mass_below_smallest_double(self):
+        n = 4
+        prob = smooth(compile_cnf(CnfFormula(n, tuple((v,) for v in range(1, n + 1)))))
+        parameterize(prob, WeightFunction({v: 1e-100 for v in range(1, n + 1)}))  # root mass 1e-400
+        log_batch = sample(prob, 8, seed=3)
+        rational_batch = sample(prob, 8, seed=3, mode="rational")
+        assert np.array_equal(log_batch.masks, rational_batch.masks)
+        assert math.isclose(rational_batch.root_log_prob, n * math.log(1e-100), rel_tol=1e-12)
+        assert math.isclose(log_batch.root_log_prob, rational_batch.root_log_prob, rel_tol=1e-12)
+
     def test_masks_span_multiple_words_beyond_64_vars(self):
         n = 70
         formula = CnfFormula(n, tuple((v,) for v in range(1, n + 1)))
@@ -154,25 +168,54 @@ class TestSample:
 
 
 class TestDynamicAnnotation:
-    def test_log_phi_identical_to_annotate(self):
-        rng = random.Random(51)
-        for _ in range(20):
-            n = rng.randint(1, 12)
+    """annotate_branches is the one annotation sample draws from."""
+
+    @staticmethod
+    def instances(seed, count, max_vars):
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(1, max_vars)
             formula = random_mixed_cnf(rng, n, rng.randint(0, 2 * n))
             prob = smooth(compile_cnf(formula))
-            parameterize(prob, random_weights(rng, n))
-            phi_pass, _ = _pass(prob, prob.topo_order(), 0, 4, seed=1, mode="log")
-            assert phi_pass == annotate(prob)  # bit-for-bit
+            weights = random_weights(rng, n)
+            if rng.random() < 0.5:  # zero-probability branches
+                weights = WeightFunction({**dict(weights.items()), rng.randint(1, n): 0.0})
+            parameterize(prob, weights)
+            yield prob
+
+    def check(self, prob, mode, reference_phi, edge, cond):
+        arith = ARITHMETICS[mode]
+        phi, p_hi = annotate_branches(prob, arith, prob.topo_order())
+        assert phi == reference_phi  # bit-for-bit
+        if prob.root in phi:
+            assert sample(prob, 4, seed=1, mode=mode).root_log_prob == arith.log(phi[prob.root])
+        decisions = [nid for nid in phi if prob.nodes[nid].kind == "D"]
+        assert sorted(p_hi) == sorted(decisions)
+        for nid in decisions:
+            node = prob.nodes[nid]
+            lo = edge(node.theta_lo, phi.get(node.lo))
+            hi = edge(node.theta_hi, phi.get(node.hi))
+            if lo is None:
+                assert (p_hi[nid], phi[nid]) == (1.0, hi)
+            elif hi is None:
+                assert (p_hi[nid], phi[nid]) == (0.0, lo)
+            else:
+                assert phi[nid] == arith.add(lo, hi)
+                assert p_hi[nid] == cond(hi, phi[nid])
+
+    def test_log_phi_identical_to_annotate(self):
+        def edge(theta, child):
+            return None if child is None or theta == 0 else math.log(theta) + child
+
+        for prob in self.instances(51, 20, 12):
+            self.check(prob, "log", annotate(prob), edge, lambda hi, total: math.exp(hi - total))
 
     def test_rational_phi_identical_to_annotate(self):
-        rng = random.Random(52)
-        for _ in range(10):
-            n = rng.randint(1, 10)
-            formula = random_mixed_cnf(rng, n, rng.randint(0, 2 * n))
-            prob = smooth(compile_cnf(formula))
-            parameterize(prob, random_weights(rng, n))
-            phi_pass, _ = _pass(prob, prob.topo_order(), 0, 4, seed=1, mode="rational")
-            assert phi_pass == annotate_rational(prob)
+        def edge(theta, child):
+            return None if child is None or theta == 0 else Fraction(theta) * child
+
+        for prob in self.instances(52, 10, 10):
+            self.check(prob, "rational", annotate_rational(prob), edge, lambda hi, total: float(hi / total))
 
 
 class TestUpdateWeights:
@@ -297,3 +340,59 @@ class TestRunIncremental:
     def test_unsatisfiable_formula_raises(self):
         with pytest.raises(ZeroProbabilityError):
             run_incremental(CnfFormula(2, ((),)), WeightFunction.uniform(), rounds=2, k=10, seed=0)
+
+
+# Recorded before the annotation was split from the sampling pass; every
+# later change to annotation or sampling must reproduce it bit for bit.
+PINNED_SAMPLING_DIGEST = "8fa121512d16db54b463cfb30051ce5b751dad5e3c77b8fdb6085b1406e85547"
+
+
+def sampling_digest() -> str:
+    """SHA-256 over the masks and root log probabilities of a fixed set of batches.
+
+    Covers the 28-variable compile-heavy instance over five reweighted
+    rounds in both arithmetics and with one and two threads, plus small
+    random formulas whose literal weights include zero and extreme values.
+    """
+    digest = hashlib.sha256()
+
+    def draw(prob, k, seed, mode, threads):
+        try:
+            batch = sample(prob, k, seed, mode=mode, threads=threads)
+        except ZeroProbabilityError:
+            digest.update(b"zero")
+            return None
+        digest.update(batch.masks.tobytes())
+        digest.update(struct.pack("<d", batch.root_log_prob))
+        return batch
+
+    prob = smooth(compile_cnf(compile_heavy_formula()))
+    for mode in ("log", "rational"):
+        for threads in (1, 2):
+            weights = WeightFunction.uniform()
+            for rnd in range(1, 6):
+                update_weights(prob, weights)
+                batch = draw(prob, 300, round_seed(3, rnd), mode, threads)
+                weights = default_update_rule(batch, weights)
+
+    rng = random.Random(2023)
+    # Rational mode leaves out the tiny levels: a root mass below the
+    # smallest double is covered by its own test.
+    levels = {"log": (0.0, 1e-300, 1e-5, 0.5, 1.0, 7.0, 1e300), "rational": (0.0, 1e-5, 0.5, 1.0, 7.0)}
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        formula = random_mixed_cnf(rng, n, rng.randint(0, 2 * n))
+        prob = smooth(compile_cnf(formula))
+        for mode in ("log", "rational"):
+            table = {}
+            for var in range(1, n + 1):
+                table[var] = rng.choice(levels[mode])
+                table[-var] = rng.choice(levels[mode][1 if table[var] == 0 else 0:])
+            parameterize(prob, WeightFunction(table))
+            draw(prob, 64, rng.randrange(2**32), mode, rng.randint(1, 2))
+    return digest.hexdigest()
+
+
+class TestReproducibilityDigest:
+    def test_masks_and_root_values_are_pinned(self):
+        assert sampling_digest() == PINNED_SAMPLING_DIGEST
