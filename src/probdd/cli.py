@@ -66,8 +66,11 @@ def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _resolve_seed(args) -> int:
@@ -215,8 +218,7 @@ def cmd_dist(args) -> int:
         print(f"tv_distance={report.tv_distance:.6f}")
         print(f"chi_square={report.chi_square:.4f} dof={report.chi_square_dof} p_value={report.chi_square_p:.6g}")
     else:
-        masks = np.asarray(batch.int_masks(), dtype=np.uint64)
-        _, counts = np.unique(masks, return_counts=True)
+        _, counts = np.unique(batch.masks, axis=0, return_counts=True)
         histogram = occurrence_histogram(counts)
         lines = ["occurrences,num_unique_solutions"]
         lines.extend(f"{occ},{num}" for occ, num in histogram)

@@ -453,6 +453,8 @@ def weighted_model_count(prob: Prob, weights: WeightFunction, mode: str = "log")
     Fraction, mode 'log' a float. The diagram is re-parameterized with
     the given weights so annotation and normalization always agree.
     """
+    if mode not in ARITHMETICS:
+        raise ValueError(f"unknown mode {mode!r}")
     if not prob.smooth:
         raise StructureError("weighted_model_count requires a smoothed diagram", property_name="smoothness")
     parameterize(prob, weights)
@@ -463,8 +465,6 @@ def weighted_model_count(prob: Prob, weights: WeightFunction, mode: str = "log")
         for var in range(1, prob.num_vars + 1):
             scale *= Fraction(weights[-var]) + Fraction(weights[var])
         return mass * scale
-    if mode != "log":
-        raise ValueError(f"unknown mode {mode!r}")
     phi_log = annotate(prob)
     if prob.root not in phi_log:
         return 0.0

@@ -38,6 +38,8 @@ from .errors import StructureError, ZeroProbabilityError
 from .prob import ARITHMETICS, FALSE_ID, Prob, annotate_branches, parameterize, smooth
 
 MASK64 = (1 << 64) - 1
+# Samples unpacked and formatted at a time by SampleBatch; bounds the temporaries.
+_BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -71,26 +73,44 @@ class SampleBatch:
             return [Assignment.from_mask(int(m), self.num_vars) for m in self.masks[:, 0]]
         return [Assignment.from_mask(m, self.num_vars) for m in self.int_masks()]
 
+    def _bits(self, start: int, stop: int) -> np.ndarray:
+        """Rows [start, stop) unpacked to a (rows, num_vars) uint8 matrix; column v-1 = variable v."""
+        raw = np.ascontiguousarray(self.masks[start:stop], dtype="<u8").view(np.uint8)
+        return np.unpackbits(raw, axis=1, bitorder="little")[:, : self.num_vars]
+
     def frequencies(self) -> np.ndarray:
         """Empirical probability of each positive literal; index v-1 = variable v."""
         k = len(self)
-        out = np.empty(self.num_vars, dtype=np.float64)
-        for var in range(1, self.num_vars + 1):
-            word, bit = divmod(var - 1, 64)
-            out[var - 1] = np.count_nonzero(self.masks[:, word] & np.uint64(1 << bit)) / k
-        return out
+        counts = np.zeros(self.num_vars, dtype=np.int64)
+        for start in range(0, k, _BLOCK_ROWS):
+            counts += self._bits(start, start + _BLOCK_ROWS).sum(axis=0, dtype=np.int64)
+        return counts / k
 
     def model_lines(self) -> str:
-        """One DIMACS-style model line per sample: signed literals then 0."""
-        lines = []
-        for row in self.masks:
-            lits = []
-            for var in range(1, self.num_vars + 1):
-                word, bit = divmod(var - 1, 64)
-                lits.append(str(var) if (int(row[word]) >> bit) & 1 else str(-var))
-            lits.append("0")
-            lines.append(" ".join(lits))
-        return "\n".join(lines) + "\n"
+        """One DIMACS-style model line per sample: signed literals then 0.
+
+        Each line is the literals "v" or "-v" for v = 1..num_vars, each
+        followed by a space, then "0" and a newline. numpy writes them a
+        block of _BLOCK_ROWS samples at a time: the unpacked mask bits
+        pick each variable's token from a zero-padded byte table, the
+        padding is dropped and the block is decoded to one string.
+        """
+        n = self.num_vars
+        width = len(str(n)) + 2
+        tokens = "".join(f"{sign}{v} ".ljust(width, "\0") for sign in ("-", "") for v in range(1, n + 1))
+        table = np.frombuffer(tokens.encode("ascii"), dtype=np.uint8).reshape(2, n, width)
+        columns = np.arange(n)
+        blocks = []
+        for start in range(0, len(self), _BLOCK_ROWS):
+            picked = table[self._bits(start, start + _BLOCK_ROWS), columns]
+            rows = np.empty((len(picked), n * width + 2), dtype=np.uint8)
+            rows[:, : n * width] = picked.reshape(len(picked), n * width)
+            del picked  # each temporary goes once the next exists, to keep the block's peak low
+            rows[:, n * width :] = np.frombuffer(b"0\n", dtype=np.uint8)
+            text = rows[rows != 0]
+            del rows
+            blocks.append(str(text, "ascii"))
+        return "".join(blocks)
 
 
 UpdateRule = Callable[[SampleBatch, WeightFunction], WeightFunction]

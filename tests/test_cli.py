@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from probdd.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
@@ -55,6 +59,15 @@ class TestCompileCommand:
             main(["--version"])
         assert err.value.code == 0
         assert capsys.readouterr().out.startswith("probdd ")
+
+    def test_runs_as_module(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "probdd", "--version"],
+            cwd=src, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == EXIT_OK
+        assert result.stdout.startswith("probdd ")
 
 
 class TestSampleCommand:
@@ -125,6 +138,12 @@ class TestSampleCommand:
         ])
         assert code == EXIT_OK
         assert len(out.read_text().splitlines()) == 10
+
+    def test_unwritable_out_is_input_error(self, cnf_file, tmp_path, capsys):
+        code = main(["sample", "--cnf", cnf_file, "-k", "3", "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "Traceback" not in err
 
 
 class TestCountArguments:
@@ -223,3 +242,14 @@ class TestDistCommand:
         lines = hist.read_text().splitlines()
         assert lines[0] == "occurrences,num_unique_solutions"
         assert len(lines) >= 2
+
+    def test_histogram_beyond_one_mask_word(self, tmp_path, capsys):
+        n = 70
+        chain = tmp_path / "chain.cnf"
+        chain.write_text(f"p cnf {n} {n - 1}\n" + "".join(f"-{v} {v + 1} 0\n" for v in range(1, n)))
+        hist = tmp_path / "hist.csv"
+        code = main(["dist", "--cnf", str(chain), "-k", "100", "--max-vars", "100", "--out", str(hist)])
+        assert code == EXIT_OK
+        assert "samples=100" in capsys.readouterr().out
+        rows = [line.split(",") for line in hist.read_text().splitlines()[1:]]
+        assert sum(int(occ) * int(num) for occ, num in rows) == 100

@@ -424,6 +424,14 @@ class TestWeightedModelCount:
         assert weighted_model_count(prob, WeightFunction.uniform(), "rational") == 0
         assert weighted_model_count(prob, WeightFunction.uniform(), "log") == 0.0
 
+    def test_unknown_mode_leaves_parameters_untouched(self, example_smooth):
+        _, prob = example_smooth
+        parameterize(prob, WeightFunction.uniform())
+        before = [(node.theta_lo, node.theta_hi) for node in prob.nodes]
+        with pytest.raises(ValueError, match="unknown mode"):
+            weighted_model_count(prob, weights_75(), mode="bogus")
+        assert [(node.theta_lo, node.theta_hi) for node in prob.nodes] == before
+
     def test_matches_oracle_on_random_formulas(self):
         rng = random.Random(41)
         for _ in range(50):

@@ -218,6 +218,91 @@ class TestDynamicAnnotation:
             self.check(prob, "rational", annotate_rational(prob), edge, lambda hi, total: float(hi / total))
 
 
+def reference_model_lines(batch: SampleBatch) -> str:
+    """The per-literal writer SampleBatch.model_lines replaced; the reference it must match."""
+    lines = []
+    for row in batch.masks:
+        lits = []
+        for var in range(1, batch.num_vars + 1):
+            word, bit = divmod(var - 1, 64)
+            lits.append(str(var) if (int(row[word]) >> bit) & 1 else str(-var))
+        lits.append("0")
+        lines.append(" ".join(lits))
+    return "\n".join(lines) + "\n"
+
+
+def reference_frequencies(batch: SampleBatch) -> np.ndarray:
+    k = len(batch)
+    out = np.empty(batch.num_vars, dtype=np.float64)
+    for var in range(1, batch.num_vars + 1):
+        word, bit = divmod(var - 1, 64)
+        out[var - 1] = np.count_nonzero(batch.masks[:, word] & np.uint64(1 << bit)) / k
+    return out
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """Text equality that reports the first differing line instead of diffing megabytes."""
+    if got == expected:
+        return
+    got_lines, expected_lines = got.split("\n"), expected.split("\n")
+    for index, (a, b) in enumerate(zip(got_lines, expected_lines)):
+        if a != b:
+            pytest.fail(f"line {index} differs: {a!r} != {b!r}")
+    pytest.fail(f"{len(got_lines)} lines written, {len(expected_lines)} expected")
+
+
+# sample(compile_heavy_formula, k=100_000, seed=5) under uniform weights,
+# written by the per-literal writer before model_lines was vectorized.
+PINNED_MODEL_LINES_DIGEST = "e5bba00b9d2c3b28f3e72d6a49368911a86dc7b79a067063b336294d8b7d046e"
+
+
+class TestBatchFormatting:
+    """model_lines and frequencies against the per-literal reference, across block edges."""
+
+    SIZES = (1, 8191, 8192, 8193, 20000)
+
+    @staticmethod
+    def _batches(num_vars, seed):
+        """Batches whose rows come from a pool of random, all-zero and all-one masks.
+
+        The reference writer formats only the pool, which keeps it fast at
+        k = 20,000; the expected text is the pool's lines in row order.
+        """
+        rng = np.random.default_rng(seed)
+        words = (num_vars + 63) // 64
+        pool = rng.integers(0, 2**64, size=(64, words), dtype=np.uint64)
+        pool[0] = 0
+        pool[1] = np.uint64(2**64 - 1)
+        pool_lines = reference_model_lines(SampleBatch(masks=pool, num_vars=num_vars, seed=0)).splitlines(keepends=True)
+        for k in TestBatchFormatting.SIZES:
+            index = rng.integers(0, len(pool), size=k)
+            index[0], index[-1] = 0, 1
+            batch = SampleBatch(masks=pool[index], num_vars=num_vars, seed=0)
+            yield batch, "".join(pool_lines[i] for i in index)
+
+    @pytest.mark.parametrize("num_vars", [1, 9, 10, 63, 64, 65, 128, 130])
+    def test_model_lines_match_reference_writer(self, num_vars):
+        for batch, expected in self._batches(num_vars, seed=num_vars):
+            assert_same_text(batch.model_lines(), expected)
+
+    @pytest.mark.parametrize("num_vars", [1, 9, 10, 63, 64, 65, 128, 130])
+    def test_frequencies_match_reference_bit_for_bit(self, num_vars):
+        for batch, _ in self._batches(num_vars, seed=1000 + num_vars):
+            assert reference_frequencies(batch).tobytes() == batch.frequencies().tobytes()
+
+    def test_small_batch_matches_reference_writer_directly(self):
+        rng = np.random.default_rng(9)
+        masks = rng.integers(0, 2**64, size=(300, 3), dtype=np.uint64)
+        batch = SampleBatch(masks=masks, num_vars=150, seed=0)
+        assert_same_text(batch.model_lines(), reference_model_lines(batch))
+
+    def test_model_lines_digest_is_pinned(self):
+        prob = smooth(compile_cnf(compile_heavy_formula()))
+        parameterize(prob, WeightFunction.uniform())
+        text = sample(prob, 100_000, seed=5).model_lines()
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == PINNED_MODEL_LINES_DIGEST
+
+
 class TestUpdateWeights:
     def test_idempotent(self):
         formula, prob = example_prob()
