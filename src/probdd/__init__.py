@@ -3,9 +3,10 @@
 A CNF formula is compiled once into a deterministic, decomposable
 decision diagram, smoothed, and annotated with normalized literal
 weights on its decision branches. Each batch of satisfying assignments
-is drawn by annotating the diagram once and then making one bottom-up
-drawing pass; weight updates between rounds only re-parameterize the
-branches, never recompile.
+is drawn by annotating the diagram once and then routing the samples
+from the root down, flipping coins only at the decisions they reach;
+weight updates between rounds only re-parameterize the branches, never
+recompile.
 """
 
 __version__ = "0.1.0"

@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"RNG seed (falls back to ${SEED_ENV_VAR}, then 1)")
             p.add_argument("--mode", choices=["log", "rational"], default="log",
                            help="annotation arithmetic")
-            p.add_argument("--threads", type=int, default=1, help="worker threads for the sample pass")
+            p.add_argument("--threads", type=_positive_int, default=1,
+                           help="worker threads for the sampling pass (at most the CPU count)")
 
     p_compile = sub.add_parser("compile", help="compile a CNF into a diagram file")
     add_common(p_compile, cnf=True)

@@ -159,22 +159,43 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
             out.append(clause)
         return frozenset(out)
 
-    def build(clauses: frozenset[Clause]) -> int:
+    def known(clauses: frozenset[Clause]) -> int | None:
         if not clauses:
             return TRUE_ID
         if () in clauses:
             return FALSE_ID
-        hit = memo.get(clauses)
-        if hit is not None:
-            return hit
+        return memo.get(clauses)
+
+    def expand(clauses: frozenset[Clause]) -> tuple[frozenset[Clause], int | None, list[frozenset[Clause]], list[int]]:
+        """A frame: the residual, its decision variable (None for a conjunction), sub-residuals left, ids built."""
         parts = components(clauses)
         if len(parts) > 1:
-            nid = make_conj([build(part) for part in parts])
-        else:
-            var = min((abs(l) for cl in clauses for l in cl), key=rank.__getitem__)
-            nid = make_decision(var, build(restrict(clauses, var, False)), build(restrict(clauses, var, True)))
-        memo[clauses] = nid
-        return nid
+            return clauses, None, parts[::-1], []
+        var = min((abs(l) for cl in clauses for l in cl), key=rank.__getitem__)
+        return clauses, var, [restrict(clauses, var, True), restrict(clauses, var, False)], []
+
+    def build(top: frozenset[Clause]) -> int:
+        """Shannon expansion with an explicit stack, creating nodes in depth-first, lo-before-hi order."""
+        nid = known(top)
+        if nid is not None:
+            return nid
+        stack = [expand(top)]
+        while True:
+            clauses, var, todo, built = stack[-1]
+            if todo:
+                sub = todo.pop()
+                nid = known(sub)
+                if nid is None:
+                    stack.append(expand(sub))
+                else:
+                    built.append(nid)
+                continue
+            stack.pop()
+            nid = make_conj(built) if var is None else make_decision(var, *built)
+            memo[clauses] = nid
+            if not stack:
+                return nid
+            stack[-1][3].append(nid)
 
     prob.root = build(frozenset(formula.clauses))
     return prob

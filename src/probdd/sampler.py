@@ -1,30 +1,40 @@
-"""Bottom-up weighted sampling and the incremental multi-round driver.
+"""Top-down weighted sampling and the incremental multi-round driver.
 
 A batch of k samples is drawn in two steps: annotate once, then draw.
 The annotation (in log or exact rational arithmetic) gives each node's
 joint probability and each decision node's conditional probability of
-its hi branch. The drawing pass then walks the nodes in topological
-order and builds the k partial samples of every node of positive
-probability: the true terminal contributes empty partials, a
-conjunction node bitwise-ORs its children's partials (their assigned
-variables are disjoint by decomposability), and a decision node flips k
-independent coins with its hi-branch probability and extends the chosen
-child's partials with the decided literal. A decision whose other branch
-has probability zero is forced and flips no coins. Smoothness guarantees
-the root's partials are complete assignments.
+its hi branch. The drawing pass then routes the k sample indices from
+the root down, visiting nodes parents first: the root holds every index,
+a conjunction hands its indices to each child (their variables are
+disjoint by decomposability), and a decision flips one coin per index it
+holds with its hi-branch probability, sets its variable's bit for the
+indices that go hi and hands each branch its share. A decision whose
+other branch has probability zero is forced and flips no coins.
+Smoothness guarantees every sample meets a decision on each variable,
+so its mask is a complete assignment. The work is proportional to the
+nodes each sample meets, not to k times the diagram's size, and a node
+no sample meets draws nothing.
 
 Randomness is counter-based: every decision node owns a Philox stream
 keyed by (seed, its position in the traversal order), and sample index i
 always consumes draw i of that stream. Batches are therefore
 reproducible and independent of evaluation order, and a batch may be
-split across worker threads without changing its result. A node shared
-by several parents is sampled once per batch index and all parents reuse
-those partials; any fixed convention is distributionally correct here,
-and this one makes results reproducible.
+split across worker threads without changing its result.
+
+The paper states the pass bottom-up: every node of positive probability
+builds the k partial samples of its sub-diagram, a conjunction ORs its
+children's and a decision picks its hi or lo child's per coin, and a
+node shared by several parents is drawn once per sample index for all
+of them. Both orders give the same masks. Decomposability means a
+sample reaches each decision at most once, through one parent, and
+there it reads the same draw of the same stream; the bottom-up partials
+a sample does not reach are computed and thrown away. The tests keep the
+bottom-up pass as the reference the router must match bit for bit.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +45,7 @@ import numpy as np
 from .cnf import Assignment, CnfFormula, WeightFunction
 from .compiler import VariableOrdering, choose_ordering, compile_cnf, DEFAULT_MAX_VARS
 from .errors import StructureError, ZeroProbabilityError
-from .prob import ARITHMETICS, FALSE_ID, Prob, annotate_branches, parameterize, smooth
+from .prob import ARITHMETICS, FALSE_ID, TRUE_ID, Prob, annotate_branches, parameterize, smooth
 
 MASK64 = (1 << 64) - 1
 # Samples unpacked and formatted at a time by SampleBatch; bounds the temporaries.
@@ -132,65 +142,58 @@ def _node_uniforms(seed: int, stream: int, start: int, stop: int) -> np.ndarray:
     return uniforms[offset:] if offset else uniforms
 
 
-def _pass(prob: Prob, order: list[int], phi: dict, p_hi: dict[int, float], start: int, stop: int, seed: int):
-    """The drawing sweep for sample indices [start, stop); returns the root's masks.
+def _route(prob: Prob, order: list[int], p_hi: dict[int, float], seed: int, start: int, out: np.ndarray) -> None:
+    """Draw samples [start, start + len(out)) top-down, setting each one's true variables in out.
 
-    phi holds the nodes of positive probability and p_hi the hi-branch
-    probability of each of their decisions; p_hi 1.0 or 0.0 forces a
+    Each node receives the indices of the samples that reach it: the
+    root all of them, a conjunction hands its indices to every child,
+    and a node with several parents joins what they hand it. A decision
+    sets its variable's bit for the samples that take its hi branch and
+    splits the rest off to its lo branch. p_hi 1.0 or 0.0 forces a
     branch without drawing, exactly as the coins u < 1.0 and u < 0.0
-    would. Coin stream i belongs to the node at position i of `order`.
+    would; otherwise sample j compares draw j of the node's stream, and
+    stream i belongs to the node at position i of `order`.
     """
     nodes = prob.nodes
-    words = max(1, (prob.num_vars + 63) // 64)
-    count = stop - start
-    store: dict[int, np.ndarray] = {}
-
-    remaining: dict[int, int] = {}
-    for nid in order:
-        for child in prob.children_of(nid):
-            remaining[child] = remaining.get(child, 0) + 1
-
-    for stream, nid in enumerate(order):
-        if nid in phi:
-            node = nodes[nid]
-            if node.kind == "T":
-                store[nid] = np.zeros((count, words), dtype=np.uint64)
-            elif node.kind == "A":
-                vals = store[node.children[0]] | store[node.children[1]]
-                for child in node.children[2:]:
-                    vals |= store[child]
-                store[nid] = vals
+    count = len(out)
+    columns = [out[:, word] for word in range(out.shape[1])]
+    reach: dict[int, list[np.ndarray]] = {prob.root: [np.arange(count)]}
+    for stream in range(len(order) - 1, -1, -1):  # parents before children
+        nid = order[stream]
+        parts = reach.pop(nid, None)
+        if parts is None:
+            continue
+        idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if len(idx) > count:  # only a conjunction mentioning no variable meets a sample twice
+            idx = np.unique(idx)
+        node = nodes[nid]
+        if node.kind == "A":
+            handed = [(child, idx) for child in node.children]
+        else:
+            p = p_hi[nid]
+            if p == 1.0:
+                hi_idx, lo_idx = idx, idx[:0]
+            elif p == 0.0:
+                hi_idx, lo_idx = idx[:0], idx
             else:
-                p_cond = p_hi[nid]
-                word, bit = divmod(node.var - 1, 64)
-                bitval = np.uint64(1 << bit)
-                if p_cond == 1.0:
-                    vals = store[node.hi].copy()
-                    vals[:, word] |= bitval
-                elif p_cond == 0.0:
-                    vals = store[node.lo].copy()
-                else:
-                    take = _node_uniforms(seed, stream, start, stop) < p_cond
-                    vals = np.where(take[:, None], store[node.hi], store[node.lo])
-                    setbits = np.zeros(count, dtype=np.uint64)
-                    setbits[take] = bitval
-                    vals[:, word] |= setbits
-                store[nid] = vals
-        for child in prob.children_of(nid):
-            remaining[child] -= 1
-            if remaining[child] == 0 and child != prob.root:
-                store.pop(child, None)
-    return store[prob.root]
+                take = _node_uniforms(seed, stream, start, start + count)[idx] < p
+                hi_idx, lo_idx = idx[take], idx[~take]
+            word, bit = divmod(node.var - 1, 64)
+            columns[word][hi_idx] |= np.uint64(1 << bit)
+            handed = [(node.hi, hi_idx), (node.lo, lo_idx)]
+        for child, child_idx in handed:
+            if child != TRUE_ID and len(child_idx):
+                reach.setdefault(child, []).append(child_idx)
 
 
 def _chunk_ranges(k: int, parts: int) -> list[tuple[int, int]]:
+    """parts contiguous ranges covering [0, k); none is empty when parts <= k."""
     size, extra = divmod(k, parts)
     ranges = []
     lo = 0
     for i in range(parts):
         hi = lo + size + (1 if i < extra else 0)
-        if hi > lo:
-            ranges.append((lo, hi))
+        ranges.append((lo, hi))
         lo = hi
     return ranges
 
@@ -202,8 +205,8 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
     is the weighted model count. The diagram is annotated once per call;
     mode 'rational' does so in exact rational arithmetic instead of log
     space, and the drawn bits use the same per-node streams either way.
-    threads > 1 splits the drawing pass across worker threads without
-    changing the result.
+    threads > 1 splits the drawing pass across worker threads, at most
+    one per CPU and one per sample, without changing the result.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -221,13 +224,14 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
     phi, p_hi = annotate_branches(prob, arith, order)
     if prob.root not in phi:
         raise ZeroProbabilityError("no satisfying assignment has positive probability under these weights")
-    if threads <= 1:  # in the calling thread: a pool would add its own memory
-        masks = _pass(prob, order, phi, p_hi, 0, k, seed)
+    masks = np.zeros((k, max(1, (prob.num_vars + 63) // 64)), dtype=np.uint64)
+    workers = min(threads, k, os.cpu_count() or 1)
+    if workers <= 1:  # in the calling thread: a pool would add its own memory
+        _route(prob, order, p_hi, seed, 0, masks)
     else:
-        ranges = _chunk_ranges(k, threads)
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(lambda r: _pass(prob, order, phi, p_hi, r[0], r[1], seed), ranges))
-        masks = np.concatenate(parts, axis=0)
+        ranges = _chunk_ranges(k, workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda r: _route(prob, order, p_hi, seed, r[0], masks[r[0] : r[1]]), ranges))
     return SampleBatch(masks=masks, num_vars=prob.num_vars, seed=seed, root_log_prob=arith.log(phi[prob.root]))
 
 

@@ -82,3 +82,27 @@ def histogram_benchmark_formula() -> CnfFormula:
 def compile_heavy_formula() -> CnfFormula:
     """Fixed satisfiable 28-variable 3-CNF whose compilation dominates sampling."""
     return random_k_cnf(random.Random(1), 28, 100)
+
+
+def record_pools(monkeypatch) -> list[int]:
+    """Swap the sampler's thread pool for one that records max_workers and runs the work inline.
+
+    No thread is started, so a test may ask for any thread count.
+    """
+    sizes: list[int] = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("probdd.sampler.ThreadPoolExecutor", InlinePool)
+    return sizes

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 from probdd.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
 
-from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS
+from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, record_pools
 
 NON_SMOOTH_PROB = "prob 1.0\nnvars 3\nnnodes 5\n0 F\n1 T\n2 D 2 0 1\n3 D 3 1 0\n4 D 1 2 3\nroot 4\n"
 
@@ -69,6 +70,21 @@ class TestCompileCommand:
         assert result.returncode == EXIT_OK
         assert result.stdout.startswith("probdd ")
 
+    def test_long_chain_compiles_without_recursion_error(self, tmp_path):
+        # 987 variables: the shortest chain whose recursive compilation
+        # overflowed the interpreter stack when run as a module.
+        n = 987
+        cnf = tmp_path / "chain.cnf"
+        cnf.write_text(f"p cnf {n} {n - 1}\n" + "".join(f"-{i} {i + 1} 0\n" for i in range(1, n)))
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "probdd", "compile", "--cnf", str(cnf), "--max-vars", "2000", "--smooth"],
+            cwd=src, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == EXIT_OK, result.stderr[-2000:]
+        assert "Traceback" not in result.stderr
+        assert f"nvars {n}" in result.stdout
+
 
 class TestSampleCommand:
     def test_deterministic_output(self, cnf_file, weights_file, tmp_path):
@@ -83,6 +99,16 @@ class TestSampleCommand:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
         assert len(outs[0].splitlines()) == 20
+
+    def test_thread_count_is_capped_by_cpus_and_samples(self, cnf_file, tmp_path, monkeypatch):
+        serial, split = tmp_path / "serial.txt", tmp_path / "split.txt"
+        assert main(["sample", "--cnf", cnf_file, "-k", "1000", "--seed", "3", "--out", str(serial)]) == EXIT_OK
+        sizes = record_pools(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        argv = ["sample", "--cnf", cnf_file, "-k", "1000", "--seed", "3", "--threads", "100000", "--out", str(split)]
+        assert main(argv) == EXIT_OK
+        assert sizes == [4]
+        assert split.read_text() == serial.read_text()
 
     def test_sample_from_prob_file(self, cnf_file, weights_file, tmp_path):
         prob_path = tmp_path / "example.prob"
@@ -156,6 +182,8 @@ class TestCountArguments:
             ["dist", "-k", "0"],
             ["inc", "--rounds", "0"],
             ["inc", "-k", "0"],
+            ["sample", "--threads", "0"],
+            ["inc", "--threads", "-2"],
         ],
     )
     def test_non_positive_count_is_usage_error(self, cnf_file, capsys, argv):

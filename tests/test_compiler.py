@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -21,7 +22,7 @@ from probdd import (
 from probdd.errors import GuardError, ParseError, StructureError
 from probdd.prob import FALSE_ID, TRUE_ID
 
-from helpers import EXAMPLE_DIMACS, EXAMPLE_MODELS, random_mixed_cnf, random_weights
+from helpers import EXAMPLE_DIMACS, EXAMPLE_MODELS, compile_heavy_formula, random_mixed_cnf, random_weights
 
 
 class TestChooseOrdering:
@@ -111,6 +112,21 @@ class TestCompile:
             first = export_prob(compile_cnf(formula, ordering))
             second = export_prob(compile_cnf(formula, ordering))
             assert first == second
+
+    def test_node_creation_order_is_pinned(self):
+        # SHA-256 over the arena (node ids in creation order) and the export
+        # of compile_heavy_formula under both orderings, recorded when build
+        # was recursive; the explicit-stack build must create the same nodes
+        # in the same order.
+        formula = compile_heavy_formula()
+        digest = hashlib.sha256()
+        for heuristic in ("natural", "occurrence-desc"):
+            prob = compile_cnf(formula, choose_ordering(formula, heuristic))
+            digest.update(f"root {prob.root}\n".encode())
+            for node in prob.nodes:
+                digest.update(f"{node.kind} {node.var} {node.lo} {node.hi} {node.children}\n".encode())
+            digest.update(export_prob(prob).encode())
+        assert digest.hexdigest() == "5ee2e75fa5d40bbcc29c4004e68059a4a3d138c7aca75426bf950f19342326fb"
 
 
 class TestTextFormat:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from probdd import (
     exact_distribution,
     export_prob,
     compare,
+    import_prob,
     parameterize,
     parse_dimacs,
     parse_weights,
@@ -29,10 +31,17 @@ from probdd import (
 )
 from probdd.errors import StructureError, ZeroProbabilityError
 from probdd.oracle import satisfies_masks
-from probdd.prob import ARITHMETICS, annotate_branches
-from probdd.sampler import SampleBatch, round_reports_csv, round_seed
+from probdd.prob import ARITHMETICS, FALSE_ID, LOG, annotate_branches
+from probdd.sampler import SampleBatch, _node_uniforms, round_reports_csv, round_seed
 
-from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, compile_heavy_formula, random_mixed_cnf, random_weights
+from helpers import (
+    EXAMPLE_DIMACS,
+    EXAMPLE_WEIGHTS,
+    compile_heavy_formula,
+    random_mixed_cnf,
+    random_weights,
+    record_pools,
+)
 
 
 def example_prob(weights_text=EXAMPLE_WEIGHTS):
@@ -216,6 +225,162 @@ class TestDynamicAnnotation:
 
         for prob in self.instances(52, 10, 10):
             self.check(prob, "rational", annotate_rational(prob), edge, lambda hi, total: float(hi / total))
+
+
+def reference_pass(prob, order, phi, p_hi, start, stop, seed):
+    """The bottom-up pass the top-down router replaced; the reference it must match.
+
+    It builds the partial masks of samples [start, stop) for every node
+    of positive probability, children first: empty at the true terminal,
+    the OR of the children's at a conjunction, and at a decision the hi
+    or lo child's per coin, with the variable's bit set on the hi side.
+    """
+    nodes = prob.nodes
+    words = max(1, (prob.num_vars + 63) // 64)
+    count = stop - start
+    store = {}
+    for stream, nid in enumerate(order):
+        if nid not in phi:
+            continue
+        node = nodes[nid]
+        if node.kind == "T":
+            store[nid] = np.zeros((count, words), dtype=np.uint64)
+        elif node.kind == "A":
+            vals = store[node.children[0]] | store[node.children[1]]
+            for child in node.children[2:]:
+                vals |= store[child]
+            store[nid] = vals
+        else:
+            p_cond = p_hi[nid]
+            word, bit = divmod(node.var - 1, 64)
+            bitval = np.uint64(1 << bit)
+            if p_cond == 1.0:
+                vals = store[node.hi].copy()
+                vals[:, word] |= bitval
+            elif p_cond == 0.0:
+                vals = store[node.lo].copy()
+            else:
+                take = _node_uniforms(seed, stream, start, stop) < p_cond
+                vals = np.where(take[:, None], store[node.hi], store[node.lo])
+                setbits = np.zeros(count, dtype=np.uint64)
+                setbits[take] = bitval
+                vals[:, word] |= setbits
+            store[nid] = vals
+    return store[prob.root]
+
+
+# Literal weights that give near-forced coins (1e-300 against 1e300) and
+# overflowing pair sums (1e300 + 1e300); a rare zero forces a branch.
+EXTREME_LEVELS = (1e-300, 0.5, 1.0, 7.0, 1e300)
+
+
+def extreme_weights(rng, num_vars):
+    table = {}
+    for var in range(1, num_vars + 1):
+        table[var], table[-var] = rng.choice(EXTREME_LEVELS), rng.choice(EXTREME_LEVELS)
+        if rng.random() < 0.05:
+            table[rng.choice((var, -var))] = 0.0
+    return WeightFunction(table)
+
+
+def routing_instances(seed, count):
+    """Satisfiable random formulas over 1-130 variables (up to three mask words) and the heavy one.
+
+    Weights are redrawn until the root has positive probability: a
+    weight of 1e-300 against 1e300 rounds its branch to zero, which
+    often leaves no model with positive weight.
+    """
+    rng = random.Random(seed)
+    formulas = [compile_heavy_formula()]
+    while len(formulas) <= count:
+        n = (1, 64, 65, 128, 130)[len(formulas) - 1] if len(formulas) <= 5 else rng.randint(1, 130)
+        formulas.append(random_mixed_cnf(rng, n, rng.randint(0, n // 2)))
+    for formula in formulas:
+        prob = smooth(compile_cnf(formula, max_vars=formula.num_vars))
+        if prob.root == FALSE_ID:
+            continue
+        while True:
+            parameterize(prob, extreme_weights(rng, prob.num_vars))
+            if prob.root in annotate_branches(prob, LOG, prob.topo_order())[0]:
+                break
+        yield prob
+
+
+class TestTopDownRouting:
+    """sample routes each sample top-down; the bottom-up pass it replaced is the reference."""
+
+    def test_masks_match_bottom_up_reference(self, monkeypatch):
+        monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 8)  # three threads really split
+        seen = {"words": set(), "forced": 0, "shared": 0}
+        for prob in routing_instances(404, 40):
+            order = prob.topo_order()
+            phi, p_hi = annotate_branches(prob, LOG, order)
+            parents = {}
+            for nid in phi:
+                for child in prob.children_of(nid):
+                    parents[child] = parents.get(child, 0) + 1
+            seen["forced"] += sum(p in (0.0, 1.0) for p in p_hi.values())
+            seen["shared"] += sum(n > 1 for child, n in parents.items() if child in p_hi)
+            for k in (1, 7, 1000):
+                seed = random.Random(k + len(order)).randrange(2**63)
+                expected = reference_pass(prob, order, phi, p_hi, 0, k, seed)
+                seen["words"].add(expected.shape[1])
+                for threads in (1, 3):
+                    got = sample(prob, k, seed, threads=threads).masks
+                    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert seen["words"] == {1, 2, 3}
+        assert seen["forced"] > 0 and seen["shared"] > 0
+
+    def test_prefix_invariance(self):
+        for prob in routing_instances(405, 12):
+            full = sample(prob, 1000, seed=17).masks
+            for m in (1, 7, 999):
+                assert sample(prob, m, seed=17).masks.tobytes() == full[:m].tobytes()
+
+    def test_unreached_nodes_build_no_generator(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        prob = smooth(compile_cnf(compile_heavy_formula()))
+        parameterize(prob, WeightFunction.uniform())
+        for seed in range(20):
+            built.clear()
+            sample(prob, 1, seed=seed)
+            assert 0 < len(built) <= prob.num_vars  # one per coin on the sample's path
+
+    def test_thread_pool_capped_by_cpus_and_samples(self, monkeypatch):
+        _, prob = example_prob()
+        base = sample(prob, 50, seed=3).masks
+        sizes = record_pools(monkeypatch)
+        monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 4)
+        for k, threads in ((50, 10**5), (3, 10**5), (50, 2), (50, 1)):
+            assert sample(prob, k, seed=3, threads=threads).masks.tobytes() == base[:k].tobytes()
+        assert sizes == [4, 3, 2]
+
+    def test_variable_free_conjunctions_stay_small(self):
+        # Conjunctions over the true terminal mention no variable, so one
+        # sample meets each of them along 2**depth paths; routing must not
+        # copy its index that many times.
+        depth, k = 14, 64
+        lines = ["prob 1.0", "nvars 1", f"nnodes {depth + 4}", "0 F", "1 T", "2 D 1 1 1 0.5 0.5", "3 A 2 1 1"]
+        lines += [f"{nid} A 2 {nid - 1} {nid - 1}" for nid in range(4, depth + 3)]
+        lines += [f"{depth + 3} A 2 2 {depth + 2}", f"root {depth + 3}"]
+        prob = import_prob("\n".join(lines) + "\n")
+        order = prob.topo_order()
+        phi, p_hi = annotate_branches(prob, LOG, order)
+        tracemalloc.start()
+        try:
+            masks = sample(prob, k, seed=8).masks
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert masks.tobytes() == reference_pass(prob, order, phi, p_hi, 0, k, 8).tobytes()
+        assert peak < 2**20  # copying the indices 2**14 times would take 8 MB
 
 
 def reference_model_lines(batch: SampleBatch) -> str:
