@@ -98,8 +98,6 @@ def _load_weights(args, formula: CnfFormula) -> WeightFunction:
 
 def _prepare_diagram(args) -> tuple[Prob, WeightFunction | None]:
     """Build a smooth, parameterized diagram from --cnf or --prob."""
-    if (args.cnf is None) == (args.prob is None):
-        raise ParseError("exactly one of --cnf or --prob is required")
     if args.cnf is not None:
         formula = _load_formula(args)
         ordering = choose_ordering(formula, args.ordering)
@@ -169,11 +167,7 @@ def cmd_inc(args) -> int:
         max_vars=args.max_vars,
     )
     sys.stdout.write(round_reports_csv(reports))
-    model_text = "".join(f"c round {rep.round}\n" + rep.samples.model_lines() for rep in reports)
-    if args.out is not None:
-        _write(args.out, model_text)
-    else:
-        sys.stdout.write(model_text)
+    _write(args.out, "".join(f"c round {rep.round}\n" + rep.samples.model_lines() for rep in reports))
     return EXIT_OK
 
 
@@ -232,11 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cnf=False, prob=False, sampling=False):
-        if cnf:
-            p.add_argument("--cnf", help="DIMACS CNF input file")
+    def add_common(p, prob=False, sampling=False):
         if prob:
-            p.add_argument("--prob", help="diagram text input file")
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--cnf", help="DIMACS CNF input file")
+            source.add_argument("--prob", help="diagram text input file")
+        else:
+            p.add_argument("--cnf", required=True, help="DIMACS CNF input file")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--ordering", choices=["natural", "occ"], default="occ", help="variable ordering heuristic")
         p.add_argument("--max-vars", type=int, default=DEFAULT_MAX_VARS, dest="max_vars",
@@ -252,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="worker threads for the sampling pass (at most the CPU count)")
 
     p_compile = sub.add_parser("compile", help="compile a CNF into a diagram file")
-    add_common(p_compile, cnf=True)
+    add_common(p_compile)
     p_compile.add_argument("--smooth", action="store_true", help="smooth before writing")
     p_compile.set_defaults(func=cmd_compile)
 
@@ -262,11 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_smooth.set_defaults(func=cmd_smooth)
 
     p_sample = sub.add_parser("sample", help="draw k weighted samples")
-    add_common(p_sample, cnf=True, prob=True, sampling=True)
+    add_common(p_sample, prob=True, sampling=True)
     p_sample.set_defaults(func=cmd_sample)
 
     p_inc = sub.add_parser("inc", help="incremental multi-round sampling")
-    add_common(p_inc, cnf=True, sampling=True)
+    add_common(p_inc, sampling=True)
     p_inc.add_argument("--rounds", type=_positive_int, default=10, help="number of sampling rounds")
     p_inc.set_defaults(func=cmd_inc)
 
@@ -275,21 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_dist = sub.add_parser("dist", help="compare sampled and exact distributions")
-    add_common(p_dist, cnf=True, sampling=True)
+    add_common(p_dist, sampling=True)
     p_dist.set_defaults(func=cmd_dist)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cnf_path = getattr(args, "cnf", None)
-    prob_path = getattr(args, "prob", None)
-    if args.command in ("compile", "inc", "dist") and cnf_path is None:
-        parser.error("--cnf is required")
-    if args.command == "sample" and (cnf_path is None) == (prob_path is None):
-        parser.error("exactly one of --cnf or --prob is required")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, WeightError, ZeroProbabilityError) as exc:

@@ -1,11 +1,16 @@
 """Top-down CNF compilation into a diagram, plus its text format.
 
 Compilation is Shannon expansion on the lowest-ranked variable of each
-residual clause set. Residuals that split into variable-disjoint
-connected components become conjunction nodes, residuals are memoized,
-and a unique table shares structurally identical nodes. This is simple
-and deterministic; it is meant for desk scale, not to compete with
-industrial compilers, which is why a variable-count guard applies.
+residual clause set. It works in rank order: on entry every variable v
+is renamed to its rank plus one and each clause is sorted, so the
+branching variable is the smallest first literal of a residual and the
+variable-disjoint connected components it splits into come out ordered
+by their lowest variable; only new decision nodes map back to the
+original variable. Split residuals become conjunction nodes, residuals
+are memoized, and a unique table shares structurally identical nodes.
+This is simple and deterministic; it is meant for desk scale, not to
+compete with industrial compilers, which is why a variable-count guard
+applies.
 """
 
 from __future__ import annotations
@@ -80,12 +85,15 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
         ordering = choose_ordering(formula)
     if ordering.num_vars != formula.num_vars:
         raise ValueError("ordering must cover exactly the formula's variables")
-    rank = ordering.rank
+    order, rank = ordering.order, ordering.rank
+
+    def renamed(clause: Clause) -> Clause:
+        lits = [rank[abs(lit)] + 1 if lit > 0 else -rank[abs(lit)] - 1 for lit in clause]
+        return tuple(sorted(lits, key=abs))
 
     prob = Prob(formula.num_vars)
     decision_index: dict[tuple[int, int, int], int] = {}
     conj_index: dict[tuple[int, ...], int] = {}
-    node_vars: dict[int, frozenset[int]] = {FALSE_ID: frozenset(), TRUE_ID: frozenset()}
     memo: dict[frozenset[Clause], int] = {}
 
     def make_decision(var: int, lo: int, hi: int) -> int:
@@ -94,9 +102,8 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
         key = (var, lo, hi)
         nid = decision_index.get(key)
         if nid is None:
-            nid = prob.add_decision(var, lo, hi)
+            nid = prob.add_decision(order[var - 1], lo, hi)
             decision_index[key] = nid
-            node_vars[nid] = node_vars[lo] | node_vars[hi] | {var}
         return nid
 
     def make_conj(children: list[int]) -> int:
@@ -114,16 +121,17 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
             return TRUE_ID
         if len(kids) == 1:
             return kids[0]
-        kids.sort(key=lambda c: min(rank[v] for v in node_vars[c]))
+        # every kid is a decision on the lowest-ranked variable of its sub-diagram
+        kids.sort(key=lambda c: rank[prob.nodes[c].var])
         key = tuple(kids)
         nid = conj_index.get(key)
         if nid is None:
             nid = prob.add_conj(key)
             conj_index[key] = nid
-            node_vars[nid] = frozenset().union(*(node_vars[c] for c in key))
         return nid
 
     def components(clauses: frozenset[Clause]) -> list[frozenset[Clause]]:
+        """Variable-disjoint parts, each rooted at its lowest variable, lowest first."""
         parent: dict[int, int] = {}
 
         def find(v: int) -> int:
@@ -140,13 +148,15 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
             for lit in clause[1:]:
                 var = abs(lit)
                 parent.setdefault(var, var)
-                parent[find(var)] = find(first)
+                a, b = find(var), find(first)
+                if a < b:
+                    parent[b] = a
+                else:
+                    parent[a] = b
         groups: dict[int, list[Clause]] = {}
         for clause in clauses:
             groups.setdefault(find(abs(clause[0])), []).append(clause)
-        parts = [frozenset(group) for group in groups.values()]
-        parts.sort(key=lambda part: min(rank[abs(l)] for cl in part for l in cl))
-        return parts
+        return [frozenset(groups[root]) for root in sorted(groups)]
 
     def restrict(clauses: frozenset[Clause], var: int, value: bool) -> frozenset[Clause]:
         satisfied = var if value else -var
@@ -166,38 +176,29 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
             return FALSE_ID
         return memo.get(clauses)
 
-    def expand(clauses: frozenset[Clause]) -> tuple[frozenset[Clause], int | None, list[frozenset[Clause]], list[int]]:
-        """A frame: the residual, its decision variable (None for a conjunction), sub-residuals left, ids built."""
-        parts = components(clauses)
-        if len(parts) > 1:
-            return clauses, None, parts[::-1], []
-        var = min((abs(l) for cl in clauses for l in cl), key=rank.__getitem__)
-        return clauses, var, [restrict(clauses, var, True), restrict(clauses, var, False)], []
-
-    def build(top: frozenset[Clause]) -> int:
-        """Shannon expansion with an explicit stack, creating nodes in depth-first, lo-before-hi order."""
-        nid = known(top)
-        if nid is not None:
-            return nid
-        stack = [expand(top)]
-        while True:
-            clauses, var, todo, built = stack[-1]
-            if todo:
-                sub = todo.pop()
-                nid = known(sub)
-                if nid is None:
-                    stack.append(expand(sub))
-                else:
-                    built.append(nid)
-                continue
-            stack.pop()
-            nid = make_conj(built) if var is None else make_decision(var, *built)
-            memo[clauses] = nid
-            if not stack:
-                return nid
-            stack[-1][3].append(nid)
-
-    prob.root = build(frozenset(formula.clauses))
+    # Shannon expansion with an explicit stack, creating nodes in
+    # depth-first, lo-before-hi order. A residual is visited twice: first
+    # it pushes a record (residual, var, subs) above its subs, then the
+    # record builds its node from the subs' ids; var None is a conjunction.
+    top = frozenset(renamed(clause) for clause in formula.clauses)
+    stack: list = [top]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            clauses, var, subs = item
+            ids = [known(sub) for sub in subs]
+            memo[clauses] = make_conj(ids) if var is None else make_decision(var, *ids)
+            continue
+        if known(item) is not None:
+            continue
+        subs = components(item)
+        var = None
+        if len(subs) == 1:
+            var = min(abs(clause[0]) for clause in item)
+            subs = [restrict(item, var, False), restrict(item, var, True)]
+        stack.append((item, var, subs))
+        stack.extend(reversed(subs))
+    prob.root = known(top)
     return prob
 
 

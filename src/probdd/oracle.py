@@ -77,18 +77,6 @@ class ExactDistribution:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def support(self) -> list[tuple[Assignment, float]]:
-        return [
-            (Assignment.from_mask(int(m), self.num_vars), float(p))
-            for m, p in zip(self.masks, self.probs)
-        ]
-
-    def prob_of(self, mask: int) -> float:
-        pos = int(np.searchsorted(self.masks, np.uint64(mask)))
-        if pos < len(self.masks) and int(self.masks[pos]) == mask:
-            return float(self.probs[pos])
-        return 0.0
-
 
 def exact_distribution(formula: CnfFormula, weights: WeightFunction, rational: bool = False) -> ExactDistribution:
     """Pr[model] = product of its literal weights, normalized by their sum N."""
@@ -160,12 +148,6 @@ class ComparisonReport:
         lines = ["occurrences,num_unique_solutions"]
         lines.extend(f"{occ},{num}" for occ, num in self.histogram)
         return "\n".join(lines) + "\n"
-
-    def stats_csv(self) -> str:
-        return (
-            "tv_distance,chi_square,chi_square_dof,chi_square_p\n"
-            f"{self.tv_distance:.9f},{self.chi_square:.6f},{self.chi_square_dof},{self.chi_square_p:.9g}\n"
-        )
 
 
 def occurrence_histogram(counts: np.ndarray) -> list[tuple[int, int]]:

@@ -225,24 +225,13 @@ def validate_structure(prob: Prob) -> None:
                     raise StructureError(f"node {nid}: dangling child {child}", node_id=nid)
         elif node.kind not in ("T", "F"):
             raise StructureError(f"node {nid}: unknown kind {node.kind!r}", node_id=nid)
-    # cycle check: iterative DFS coloring from the root
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
-    stack: list[tuple[int, int]] = [(prob.root, 0)]
-    while stack:
-        nid, idx = stack.pop()
-        children = prob.children_of(nid)
-        if idx == 0:
-            state[nid] = 1
-        if idx == len(children):
-            state[nid] = 2
-            continue
-        stack.append((nid, idx + 1))
-        child = children[idx]
-        mark = state.get(child)
-        if mark == 1:
-            raise StructureError(f"cycle through node {child}", node_id=child)
-        if mark is None:
-            stack.append((child, 0))
+    # in a post-order of the reachable nodes every child precedes its parent unless it closes a cycle
+    order = prob.topo_order()
+    position = {nid: pos for pos, nid in enumerate(order)}
+    for nid in order:
+        for child in prob.children_of(nid):
+            if position[child] >= position[nid]:
+                raise StructureError(f"cycle through node {child}", node_id=child)
 
 
 def parameterize(prob: Prob, weights: WeightFunction) -> Prob:
@@ -279,9 +268,9 @@ def smooth(prob: Prob) -> Prob:
     (both branches pointing at the true terminal, one node per variable).
     Variables absent from the entire diagram are wrapped around the root
     the same way, so samples always cover every variable. The model set
-    is unchanged. Already-smooth diagrams are returned as-is.
+    is unchanged. Diagrams already flagged smooth are returned as-is.
     """
-    if prob.root == FALSE_ID:
+    if prob.smooth or prob.root == FALSE_ID:
         prob.smooth = True
         return prob
 
@@ -293,19 +282,16 @@ def smooth(prob: Prob) -> Prob:
         if node.kind == "D" and node.lo == TRUE_ID and node.hi == TRUE_ID:
             dont_care.setdefault(node.var, nid)
     wrap_cache: dict[tuple[int, frozenset[int]], int] = {}
-    created = False
+    size = len(prob.nodes)
 
     def dc_node(var: int) -> int:
-        nonlocal created
         nid = dont_care.get(var)
         if nid is None:
             nid = prob.add_decision(var, TRUE_ID, TRUE_ID)
             dont_care[var] = nid
-            created = True
         return nid
 
     def wrap(child: int, missing: frozenset[int]) -> int:
-        nonlocal created
         key = (child, missing)
         cached = wrap_cache.get(key)
         if cached is not None:
@@ -321,7 +307,6 @@ def smooth(prob: Prob) -> Prob:
             new = kids[0]
         else:
             new = prob.add_conj(kids)
-            created = True
         wrap_cache[key] = new
         return new
 
@@ -337,7 +322,7 @@ def smooth(prob: Prob) -> Prob:
     missing_root = frozenset(range(1, prob.num_vars + 1)) - kappa[prob.root]
     if missing_root:
         prob.root = wrap(prob.root, missing_root)
-    if created:
+    if len(prob.nodes) > size:
         prob.parameterized = False
     prob.smooth = True
     return prob

@@ -79,9 +79,7 @@ class SampleBatch:
         return [sum(int(w) << (64 * i) for i, w in enumerate(row)) for row in self.masks]
 
     def assignments(self) -> list[Assignment]:
-        if self.words == 1:
-            return [Assignment.from_mask(int(m), self.num_vars) for m in self.masks[:, 0]]
-        return [Assignment.from_mask(m, self.num_vars) for m in self.int_masks()]
+        return [Assignment.from_mask(int(m), self.num_vars) for m in self.int_masks()]
 
     def _bits(self, start: int, stop: int) -> np.ndarray:
         """Rows [start, stop) unpacked to a (rows, num_vars) uint8 matrix; column v-1 = variable v."""
@@ -157,7 +155,9 @@ def _route(prob: Prob, order: list[int], p_hi: dict[int, float], seed: int, star
     nodes = prob.nodes
     count = len(out)
     columns = [out[:, word] for word in range(out.shape[1])]
-    reach: dict[int, list[np.ndarray]] = {prob.root: [np.arange(count)]}
+    reach: dict[int, list[np.ndarray]] = {}
+    if prob.root != TRUE_ID:  # a diagram over no variables sets no bits
+        reach[prob.root] = [np.arange(count)]
     for stream in range(len(order) - 1, -1, -1):  # parents before children
         nid = order[stream]
         parts = reach.pop(nid, None)
@@ -184,18 +184,6 @@ def _route(prob: Prob, order: list[int], p_hi: dict[int, float], seed: int, star
         for child, child_idx in handed:
             if child != TRUE_ID and len(child_idx):
                 reach.setdefault(child, []).append(child_idx)
-
-
-def _chunk_ranges(k: int, parts: int) -> list[tuple[int, int]]:
-    """parts contiguous ranges covering [0, k); none is empty when parts <= k."""
-    size, extra = divmod(k, parts)
-    ranges = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + size + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
 
 
 def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1) -> SampleBatch:
@@ -229,7 +217,8 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
     if workers <= 1:  # in the calling thread: a pool would add its own memory
         _route(prob, order, p_hi, seed, 0, masks)
     else:
-        ranges = _chunk_ranges(k, workers)
+        bounds = [k * i // workers for i in range(workers + 1)]  # none empty, as workers <= k
+        ranges = zip(bounds, bounds[1:])
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda r: _route(prob, order, p_hi, seed, r[0], masks[r[0] : r[1]]), ranges))
     return SampleBatch(masks=masks, num_vars=prob.num_vars, seed=seed, root_log_prob=arith.log(phi[prob.root]))

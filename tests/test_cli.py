@@ -143,6 +143,11 @@ class TestSampleCommand:
             main(["sample", "--cnf", cnf_file, "--prob", cnf_file])
         assert err.value.code == EXIT_USAGE
 
+    def test_neither_source_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            main(["sample", "-k", "3"])
+        assert err.value.code == EXIT_USAGE
+
     def test_env_seed_fallback(self, cnf_file, tmp_path, monkeypatch):
         def run(out):
             assert main(["sample", "--cnf", cnf_file, "-k", "10", "--out", str(out)]) == EXIT_OK
@@ -241,6 +246,12 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "smoothness violated at node 4" in out
 
+    def test_unnormalized_parameters_fail(self, tmp_path, capsys):
+        prob_path = tmp_path / "unnormalized.prob"
+        prob_path.write_text("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 0 0\nroot 2\n")
+        assert main(["check", "--prob", str(prob_path)]) == EXIT_PROPERTY
+        assert "parameters" in capsys.readouterr().err
+
     def test_broken_file_fails(self, tmp_path):
         prob_path = tmp_path / "broken.prob"
         prob_path.write_text("prob 1.0\nnvars 1\nnnodes 4\n0 F\n1 T\n2 D 1 0 1\n3 D 1 2 1\nroot 3\n")
@@ -281,3 +292,25 @@ class TestDistCommand:
         assert "samples=100" in capsys.readouterr().out
         rows = [line.split(",") for line in hist.read_text().splitlines()[1:]]
         assert sum(int(occ) * int(num) for occ, num in rows) == 100
+
+
+class TestNoVariables:
+    """Formulas and diagrams over zero variables sample the empty model."""
+
+    @pytest.mark.parametrize(
+        "command", [["sample", "-k", "3"], ["inc", "-k", "3", "--rounds", "2"], ["dist", "-k", "3"]]
+    )
+    def test_empty_cnf(self, command, tmp_path, capsys):
+        cnf = tmp_path / "empty.cnf"
+        cnf.write_text("p cnf 0 0\n")
+        assert main(command + ["--cnf", str(cnf), "--seed", "1"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if command[0] == "sample":
+            assert captured.out == "0\n" * 3
+
+    def test_empty_prob(self, tmp_path, capsys):
+        prob_path = tmp_path / "empty.prob"
+        prob_path.write_text("prob 1.0\nnvars 0\nnnodes 2\n0 F\n1 T\nroot 1\n")
+        assert main(["sample", "--prob", str(prob_path), "-k", "3", "--seed", "1"]) == EXIT_OK
+        assert capsys.readouterr().out == "0\n" * 3

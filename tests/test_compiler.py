@@ -24,6 +24,9 @@ from probdd.prob import FALSE_ID, TRUE_ID
 
 from helpers import EXAMPLE_DIMACS, EXAMPLE_MODELS, compile_heavy_formula, random_mixed_cnf, random_weights
 
+# One decision whose branch parameters sum to 0 instead of 1.
+UNNORMALIZED_PROB = "prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 0 0\nroot 2\n"
+
 
 class TestChooseOrdering:
     def test_natural(self):
@@ -128,6 +131,46 @@ class TestCompile:
             digest.update(export_prob(prob).encode())
         assert digest.hexdigest() == "5ee2e75fa5d40bbcc29c4004e68059a4a3d138c7aca75426bf950f19342326fb"
 
+    def test_random_formula_arenas_are_pinned(self):
+        # SHA-256 over the arenas (creation order) and exports of 60 seeded
+        # formulas under both orderings, recorded before the compiler worked
+        # in rank order. The set covers unsatisfiable, zero-clause,
+        # free-variable and multi-component formulas over 1-20 variables.
+        rng = random.Random(31)
+        formulas = []
+        for i in range(60):
+            n = rng.randint(1, 20)
+            shape = i % 4
+            if shape == 0:  # sparse: free variables and several components
+                formula = random_mixed_cnf(rng, n, rng.randint(0, n // 2))
+            elif shape == 1:  # dense: often unsatisfiable
+                formula = random_mixed_cnf(rng, n, rng.randint(n, 2 * n))
+            elif shape == 2:  # two blocks over disjoint variables
+                a = max(1, n // 2)
+                b = max(1, n - a)
+                left = random_mixed_cnf(rng, a, rng.randint(1, 2 * a))
+                right = random_mixed_cnf(rng, b, rng.randint(1, 2 * b))
+                shifted = tuple(tuple(l + a if l > 0 else l - a for l in cl) for cl in right.clauses)
+                formula = CnfFormula(a + b, left.clauses + shifted)
+            else:
+                formula = random_mixed_cnf(rng, n, rng.randint(0, 2 * n))
+            formulas.append(formula)
+        kinds = {"unsat": 0, "empty": 0, "free": 0, "split": 0}
+        digest = hashlib.sha256()
+        for formula in formulas:
+            kinds["empty"] += not formula.clauses
+            kinds["free"] += len(set(formula.variables()) - {abs(l) for cl in formula.clauses for l in cl}) > 0
+            for heuristic in ("natural", "occurrence-desc"):
+                prob = compile_cnf(formula, choose_ordering(formula, heuristic))
+                kinds["unsat"] += prob.root == FALSE_ID
+                kinds["split"] += prob.nodes[prob.root].kind == "A"
+                digest.update(f"root {prob.root}\n".encode())
+                for node in prob.nodes:
+                    digest.update(f"{node.kind} {node.var} {node.lo} {node.hi} {node.children}\n".encode())
+                digest.update(export_prob(prob).encode())
+        assert all(kinds.values()), kinds
+        assert digest.hexdigest() == "6f50c13009f9a71bf0f0c00f318016b80ef16ae7fee7c3ad5408a8dcc5374c80"
+
 
 class TestTextFormat:
     def test_example_pre_smooth_listing(self):
@@ -220,3 +263,14 @@ class TestTextFormat:
         prob.nodes[root.lo].lo = prob.root  # wire a back edge by hand
         with pytest.raises(StructureError):
             export_prob(prob)
+        prob = compile_cnf(formula, choose_ordering(formula, "natural"))
+        prob.nodes[prob.root].hi = prob.root  # and a self-loop
+        with pytest.raises(StructureError) as err:
+            export_prob(prob)
+        assert err.value.node_id == prob.root
+
+    def test_import_rejects_parameters_not_summing_to_one(self):
+        with pytest.raises(StructureError) as err:
+            import_prob(UNNORMALIZED_PROB)
+        assert err.value.property_name == "parameters"
+        assert err.value.node_id == 2

@@ -20,7 +20,9 @@ from probdd import (
     choose_ordering,
     compile_cnf,
     diagram_models,
+    export_prob,
     find_violations,
+    import_prob,
     log_sum_exp,
     model_masks,
     parse_dimacs,
@@ -168,6 +170,15 @@ class TestSmooth:
         again = smooth(prob)
         assert again is prob
         assert prob.node_count == count == 9
+
+    def test_imported_smooth_diagram_is_not_walked_again(self, example_smooth, monkeypatch):
+        _, prob = example_smooth
+        back = import_prob(export_prob(prob))
+        assert back.smooth
+        calls = []
+        monkeypatch.setattr("probdd.prob.var_sets", lambda diagram: calls.append(diagram) or {})
+        assert smooth(back) is back
+        assert calls == []
 
     def test_single_variable_dont_care_shape(self):
         formula = CnfFormula(1, ((1,),))

@@ -31,7 +31,7 @@ from probdd import (
 )
 from probdd.errors import StructureError, ZeroProbabilityError
 from probdd.oracle import satisfies_masks
-from probdd.prob import ARITHMETICS, FALSE_ID, LOG, annotate_branches
+from probdd.prob import ARITHMETICS, FALSE_ID, LOG, TRUE_ID, annotate_branches
 from probdd.sampler import SampleBatch, _node_uniforms, round_reports_csv, round_seed
 
 from helpers import (
@@ -129,6 +129,14 @@ class TestSample:
         parameterize(prob, WeightFunction.uniform())
         with pytest.raises(ZeroProbabilityError):
             sample(prob, 1, seed=0)
+
+    def test_diagram_without_variables_samples_empty_models(self):
+        prob = smooth(compile_cnf(CnfFormula(0, ())))
+        parameterize(prob, WeightFunction.uniform())
+        assert prob.root == TRUE_ID
+        batch = sample(prob, 3, seed=0)
+        assert batch.masks.shape == (3, 1) and not batch.masks.any()
+        assert batch.model_lines() == "0\n" * 3
 
     def test_zero_probability_under_weights_rejected(self):
         formula = parse_dimacs("p cnf 1 1\n1 0\n")
