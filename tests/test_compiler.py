@@ -106,6 +106,16 @@ class TestCompile:
             assert check_determinism(prob)
             assert check_decomposability(prob)
 
+    def test_repeated_literals_and_tautologies_match_oracle(self):
+        # CnfFormula does not normalize its clauses: a tautology and a
+        # repeated literal must neither change the models nor let the
+        # compiler decide a variable twice on one path.
+        formula = CnfFormula(3, ((1, -1), (2, 2, -3), (-2, 3, 1)))
+        for heuristic in ("natural", "occurrence-desc"):
+            prob = compile_cnf(formula, choose_ordering(formula, heuristic))
+            assert np.array_equal(diagram_models(prob), model_masks(formula))
+            assert check_determinism(prob)
+
     def test_deterministic_export(self):
         rng = random.Random(19)
         for _ in range(20):
