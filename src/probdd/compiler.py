@@ -1,16 +1,24 @@
 """Top-down CNF compilation into a diagram, plus its text format.
 
 Compilation is Shannon expansion on the lowest-ranked variable of each
-residual clause set. It works in rank order: on entry every variable v
-is renamed to its rank plus one and each clause is sorted, so the
-branching variable is the smallest first literal of a residual and the
-variable-disjoint connected components it splits into come out ordered
-by their lowest variable; only new decision nodes map back to the
-original variable. Split residuals become conjunction nodes, residuals
-are memoized, and a unique table shares structurally identical nodes.
-This is simple and deterministic; it is meant for desk scale, not to
-compete with industrial compilers, which is why a variable-count guard
-applies.
+residual clause set, with every variable v renamed to its rank plus one
+on entry so that rank order is integer order; only new decision nodes
+map back to the original variable. Renamed clauses are normalized
+(repeated literals merged, tautologies dropped) and sorted.
+
+Because the branching variable is always the lowest of the residual, a
+residual clause is always a suffix of an input clause. Every suffix is
+interned once, as an id holding its signed first literal, the id of the
+rest of the clause and a bitmask of its variables (id 0 is the empty
+clause), and a residual is a frozenset of such ids. Restricting reads
+one first literal per id: a satisfied one drops the id, a falsified one
+replaces it with the rest's id. Variable-disjoint components are grown
+from one id by taking in every id whose mask meets the part's mask, and
+are ordered by their lowest variable. Split residuals become conjunction
+nodes, residuals are memoized, and a unique table shares structurally
+identical nodes. This is simple and deterministic; it is meant for desk
+scale, not to compete with industrial compilers, which is why a
+variable-count guard applies.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .cnf import Clause, CnfFormula
+from .cnf import CnfFormula, normalize_clause
 from .errors import GuardError, ParseError, StructureError
 from .prob import FALSE_ID, TRUE_ID, Prob, find_violations, validate_structure
 
@@ -87,14 +95,35 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
         raise ValueError("ordering must cover exactly the formula's variables")
     order, rank = ordering.order, ordering.rank
 
-    def renamed(clause: Clause) -> Clause:
-        lits = [rank[abs(lit)] + 1 if lit > 0 else -rank[abs(lit)] - 1 for lit in clause]
-        return tuple(sorted(lits, key=abs))
+    # Intern every suffix of every renamed clause, shortest first, keyed by
+    # (first literal, id of the rest). Per id: its signed first literal,
+    # the id of the suffix without it, and a bitmask with bit v set for
+    # each variable v it mentions. Id 0 is the empty clause.
+    first, rest, mask = [0], [0], [0]
+    suffix_ids: dict[tuple[int, int], int] = {}
+    top_ids: set[int] = set()
+    for clause in formula.clauses:
+        # a repeated literal would be decided twice; a tautology constrains nothing
+        clause = normalize_clause(rank[lit] + 1 if lit > 0 else -rank[-lit] - 1 for lit in clause)
+        if clause is None:
+            continue
+        sid = 0
+        for lit in reversed(clause):
+            key = (lit, sid)
+            nid = suffix_ids.get(key)
+            if nid is None:
+                nid = suffix_ids[key] = len(first)
+                first.append(lit)
+                rest.append(sid)
+                mask.append(mask[sid] | 1 << abs(lit))
+            sid = nid
+        top_ids.add(sid)
+    lowest = list(map(abs, first))  # the lowest variable of each suffix
 
     prob = Prob(formula.num_vars)
     decision_index: dict[tuple[int, int, int], int] = {}
     conj_index: dict[tuple[int, ...], int] = {}
-    memo: dict[frozenset[Clause], int] = {}
+    memo: dict[frozenset[int], int] = {}
 
     def make_decision(var: int, lo: int, hi: int) -> int:
         if lo == hi:
@@ -130,72 +159,84 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
             conj_index[key] = nid
         return nid
 
-    def components(clauses: frozenset[Clause]) -> list[frozenset[Clause]]:
-        """Variable-disjoint parts, each rooted at its lowest variable, lowest first."""
-        parent: dict[int, int] = {}
+    def components(residual: frozenset[int]) -> list[frozenset[int]]:
+        """Variable-disjoint parts, lowest variable first.
 
-        def find(v: int) -> int:
-            root = v
-            while parent[root] != root:
-                root = parent[root]
-            while parent[v] != root:
-                parent[v], v = root, parent[v]
-            return root
+        A part grows from one id: each pass over the pending ids takes in
+        every id whose mask meets the part's mask, until a pass adds
+        nothing. The ids are sorted by lowest variable, the seed is the
+        lowest, and the passes walk them upward and downward in turn, so a
+        chain of clauses is taken in one pass whatever their order.
+        """
+        pending = sorted(residual, key=lowest.__getitem__, reverse=True)
+        parts: list[tuple[int, frozenset[int]]] = []
+        while pending:
+            seed = pending.pop()
+            part, grown = [seed], mask[seed]
+            size = 0
+            while size != len(part):
+                size = len(part)
+                left = []
+                for sid in reversed(pending):
+                    if mask[sid] & grown:
+                        grown |= mask[sid]
+                        part.append(sid)
+                    else:
+                        left.append(sid)
+                pending = left
+            if not parts and not pending:
+                return [residual]
+            parts.append((grown & -grown, frozenset(part)))
+        parts.sort()
+        return [part for _, part in parts]
 
-        for clause in clauses:
-            first = abs(clause[0])
-            parent.setdefault(first, first)
-            for lit in clause[1:]:
-                var = abs(lit)
-                parent.setdefault(var, var)
-                a, b = find(var), find(first)
-                if a < b:
-                    parent[b] = a
-                else:
-                    parent[a] = b
-        groups: dict[int, list[Clause]] = {}
-        for clause in clauses:
-            groups.setdefault(find(abs(clause[0])), []).append(clause)
-        return [frozenset(groups[root]) for root in sorted(groups)]
+    def restrict(residual: frozenset[int], var: int) -> list[frozenset[int]]:
+        """The residuals under var false and var true, lo first.
 
-    def restrict(clauses: frozenset[Clause], var: int, value: bool) -> frozenset[Clause]:
-        satisfied = var if value else -var
-        out: list[Clause] = []
-        for clause in clauses:
-            if satisfied in clause:
-                continue
-            if -satisfied in clause:
-                clause = tuple(l for l in clause if l != -satisfied)
-            out.append(clause)
-        return frozenset(out)
+        var is the lowest variable of the residual, so only a first literal
+        can mention it: a satisfied one drops its clause, a falsified one
+        leaves the rest of the clause.
+        """
+        lo: list[int] = []
+        hi: list[int] = []
+        for sid in residual:
+            lit = first[sid]
+            if lit == var:
+                lo.append(rest[sid])
+            elif lit == -var:
+                hi.append(rest[sid])
+            else:
+                lo.append(sid)
+                hi.append(sid)
+        return [frozenset(lo), frozenset(hi)]
 
-    def known(clauses: frozenset[Clause]) -> int | None:
-        if not clauses:
+    def known(residual: frozenset[int]) -> int | None:
+        if not residual:
             return TRUE_ID
-        if () in clauses:
+        if 0 in residual:
             return FALSE_ID
-        return memo.get(clauses)
+        return memo.get(residual)
 
     # Shannon expansion with an explicit stack, creating nodes in
     # depth-first, lo-before-hi order. A residual is visited twice: first
     # it pushes a record (residual, var, subs) above its subs, then the
     # record builds its node from the subs' ids; var None is a conjunction.
-    top = frozenset(renamed(clause) for clause in formula.clauses)
+    top = frozenset(top_ids)
     stack: list = [top]
     while stack:
         item = stack.pop()
         if isinstance(item, tuple):
-            clauses, var, subs = item
+            residual, var, subs = item
             ids = [known(sub) for sub in subs]
-            memo[clauses] = make_conj(ids) if var is None else make_decision(var, *ids)
+            memo[residual] = make_conj(ids) if var is None else make_decision(var, *ids)
             continue
         if known(item) is not None:
             continue
         subs = components(item)
         var = None
         if len(subs) == 1:
-            var = min(abs(clause[0]) for clause in item)
-            subs = [restrict(item, var, False), restrict(item, var, True)]
+            var = min(map(lowest.__getitem__, item))
+            subs = restrict(item, var)
         stack.append((item, var, subs))
         stack.extend(reversed(subs))
     prob.root = known(top)

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probdd import (
     CnfFormula,
@@ -26,6 +28,25 @@ from helpers import EXAMPLE_DIMACS, EXAMPLE_MODELS, compile_heavy_formula, rando
 
 # One decision whose branch parameters sum to 0 instead of 1.
 UNNORMALIZED_PROB = "prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 0 0\nroot 2\n"
+
+
+@st.composite
+def raw_formulas(draw):
+    """Formulas over 0-10 variables, clauses as drawn: literals may repeat,
+    a clause may be a tautology, and now and then one is empty. Each clause
+    takes its variables from one of two blocks, so several components are
+    common, and variables no clause draws stay unused."""
+    n = draw(st.integers(0, 10))
+    split = draw(st.integers(0, n))
+    clauses = []
+    for _ in range(draw(st.integers(0, 8))):
+        low, high = draw(st.sampled_from([(1, split), (split + 1, n)]))
+        if low > high or draw(st.integers(0, 15)) == 0:
+            clauses.append(())
+            continue
+        var = st.integers(low, high)
+        clauses.append(tuple(draw(st.lists(st.one_of(var, var.map(lambda v: -v)), min_size=1, max_size=5))))
+    return CnfFormula(n, tuple(clauses))
 
 
 class TestChooseOrdering:
@@ -115,6 +136,25 @@ class TestCompile:
             prob = compile_cnf(formula, choose_ordering(formula, heuristic))
             assert np.array_equal(diagram_models(prob), model_masks(formula))
             assert check_determinism(prob)
+
+    @given(raw_formulas())
+    @settings(max_examples=150, deadline=None)
+    def test_smoothed_models_match_oracle(self, formula):
+        expected = model_masks(formula)
+        for heuristic in ("natural", "occurrence-desc"):
+            prob = smooth(compile_cnf(formula, choose_ordering(formula, heuristic)))
+            assert np.array_equal(diagram_models(prob), expected)
+
+    def test_long_clause_interns_without_recursion(self):
+        # one clause of 1,500 literals has 1,500 suffixes to intern and
+        # compiles to a chain of one decision per variable
+        n = 1500
+        formula = CnfFormula(n, (tuple(v if v % 2 else -v for v in range(1, n + 1)),))
+        ordering = VariableOrdering(range(n, 0, -1))
+        prob = compile_cnf(formula, ordering, max_vars=n)
+        assert sum(node.kind == "D" for node in prob.nodes) == n
+        root = prob.nodes[prob.root]
+        assert root.kind == "D" and root.var == ordering.order[0]
 
     def test_deterministic_export(self):
         rng = random.Random(19)
