@@ -2,7 +2,9 @@
 
 import random
 
-from probdd import CnfFormula, WeightFunction, model_masks
+from hypothesis import strategies as st
+
+from probdd import CnfFormula, WeightFunction, compile_cnf, export_prob, model_masks, parameterize, smooth
 from probdd.cnf import normalize_clause
 
 # Worked example used throughout: (x or y) and (not x or not z) with x=1 y=2 z=3.
@@ -106,3 +108,45 @@ def record_pools(monkeypatch) -> list[int]:
 
     monkeypatch.setattr("probdd.sampler.ThreadPoolExecutor", InlinePool)
     return sizes
+
+
+# Tokens a mutation may put into a diagram file. The integers stay small: a
+# header declaring a huge nvars makes the checkers build a set that large.
+MUTATION_TOKENS = ("-1", "0", "1", "2", "3", "4", "5", "6", "7", "9", "0.5", "1.0", "-0.5", "nan", "inf",
+                   "1e309", "D", "A", "F", "T", "root", "nvars", "x")
+
+
+@st.composite
+def mutated_exports(draw):
+    """Exports of small compiled diagrams after one or two mutations.
+
+    Everything is drawn from one seeded generator, so places are uniform:
+    a random formula over two to five variables is compiled, then maybe
+    smoothed and maybe parameterized. A mutation replaces, inserts or
+    deletes a token, swaps two lines or deletes one. The "prob 1.0" header
+    line is left alone so that most files get past it.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(2, 5)
+    prob = compile_cnf(random_mixed_cnf(rng, n, rng.randint(1, n)))
+    if rng.random() < 0.5:
+        smooth(prob)
+    if rng.random() < 0.5:
+        parameterize(prob, random_weights(rng, n))
+    lines = [line.split() for line in export_prob(prob).splitlines()]
+    for _ in range(rng.randint(1, 2)):
+        op = rng.choice(("replace", "replace", "insert", "delete", "swap", "drop"))
+        row = rng.randrange(1, len(lines))
+        tokens = lines[row]
+        if op == "insert":
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(MUTATION_TOKENS))
+        elif op == "replace" and tokens:
+            tokens[rng.randrange(len(tokens))] = rng.choice(MUTATION_TOKENS)
+        elif op == "delete" and tokens:
+            del tokens[rng.randrange(len(tokens))]
+        elif op == "swap":
+            other = rng.randrange(1, len(lines))
+            lines[row], lines[other] = lines[other], tokens
+        elif op == "drop" and len(lines) > 2:
+            del lines[row]
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)

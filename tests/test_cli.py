@@ -4,10 +4,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from probdd.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
 
-from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, record_pools
+from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, mutated_exports, record_pools
 
 NON_SMOOTH_PROB = "prob 1.0\nnvars 3\nnnodes 5\n0 F\n1 T\n2 D 2 0 1\n3 D 3 1 0\n4 D 1 2 3\nroot 4\n"
 
@@ -256,6 +257,16 @@ class TestCheckCommand:
         prob_path = tmp_path / "broken.prob"
         prob_path.write_text("prob 1.0\nnvars 1\nnnodes 4\n0 F\n1 T\n2 D 1 0 1\n3 D 1 2 1\nroot 3\n")
         assert main(["check", "--prob", str(prob_path)]) == EXIT_PROPERTY
+
+
+class TestMutatedDiagramFiles:
+    @given(mutated_exports())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_commands_exit_with_a_code(self, tmp_path, text):
+        prob_path = tmp_path / "mutated.prob"
+        prob_path.write_text(text)
+        for argv in (["check"], ["smooth"], ["sample", "-k", "5", "--seed", "1"]):
+            assert main([*argv, "--prob", str(prob_path)]) in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_PROPERTY, EXIT_GUARD)
 
 
 class TestSmoothCommand:

@@ -24,7 +24,14 @@ from probdd import (
 from probdd.errors import GuardError, ParseError, StructureError
 from probdd.prob import FALSE_ID, TRUE_ID
 
-from helpers import EXAMPLE_DIMACS, EXAMPLE_MODELS, compile_heavy_formula, random_mixed_cnf, random_weights
+from helpers import (
+    EXAMPLE_DIMACS,
+    EXAMPLE_MODELS,
+    compile_heavy_formula,
+    mutated_exports,
+    random_mixed_cnf,
+    random_weights,
+)
 
 # One decision whose branch parameters sum to 0 instead of 1.
 UNNORMALIZED_PROB = "prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 0 0\nroot 2\n"
@@ -294,6 +301,21 @@ class TestTextFormat:
         text = "prob 1.0\nnvars 1\nnnodes 4\n0 F\n1 T\n2 D 1 0 1\n3 A 1 2\nroot 3\n"
         with pytest.raises(ParseError):
             import_prob(text)
+
+    def test_import_checks_only_reachable_nodes(self):
+        # node 3 decides variable 1 twice, but no path from the root reaches it
+        text = "prob 1.0\nnvars 1\nnnodes 5\n0 F\n1 T\n2 D 1 0 1\n3 D 1 2 1\n4 D 1 0 1\nroot 4\n"
+        prob = import_prob(text)
+        assert prob.smooth
+        assert export_prob(prob) == "prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1\nroot 2\n"
+
+    @given(mutated_exports())
+    @settings(max_examples=600, deadline=None)
+    def test_import_of_mutated_exports_raises_only_input_errors(self, text):
+        try:
+            import_prob(text)
+        except (ParseError, StructureError):
+            pass
 
     def test_import_records_smoothness(self):
         formula = parse_dimacs(EXAMPLE_DIMACS)
