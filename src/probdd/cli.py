@@ -131,7 +131,7 @@ def cmd_compile(args) -> int:
     _write(args.out, export_prob(prob))
     kinds = prob.count_kinds()
     print(
-        f"nodes={prob.node_count} decision={kinds['D']} conj={kinds['A']} terminals={kinds['T'] + kinds['F']}",
+        f"nodes={sum(kinds.values())} decision={kinds['D']} conj={kinds['A']} terminals={kinds['T'] + kinds['F']}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -282,12 +282,12 @@ def export_prob(prob: Prob) -> str:
 def import_prob(text: str) -> Prob:
     """Parse the text format back into a diagram.
 
-    Node lines must appear in bottom-up topological order (children
-    before parents), which rules out cycles and dangling references.
-    Determinism and decomposability are validated; the smoothness flag
-    records whether the diagram is smooth with full variable coverage.
-    Branch parameters must be present on either all or none of the
-    decision lines.
+    Each node line is checked as the arena adds it: a child must be an
+    earlier node, which rules out cycles and dangling references.
+    Determinism and decomposability are validated in one walk over the
+    reachable nodes; the smoothness flag records whether the diagram is
+    smooth with full variable coverage. Branch parameters must be present
+    on either all or none of the decision lines.
     """
     lines = []
     for raw in text.splitlines():
@@ -332,16 +332,11 @@ def import_prob(text: str) -> Prob:
         if kind == "D":
             if len(parts) not in (5, 7):
                 raise ParseError(f"node {nid}: decision lines are '<id> D <var> <lo> <hi> [<theta_lo> <theta_hi>]'")
+            # the arena's next slot is nid, so a child it does not hold yet is a forward reference
             try:
-                var, lo, hi = int(parts[2]), int(parts[3]), int(parts[4])
+                made = prob.add_decision(int(parts[2]), int(parts[3]), int(parts[4]))
             except ValueError as exc:
-                raise ParseError(f"node {nid}: bad integer field") from exc
-            if not 1 <= var <= num_vars:
-                raise ParseError(f"node {nid}: variable {var} out of range")
-            for child in (lo, hi):
-                if not 0 <= child < nid:
-                    raise ParseError(f"node {nid}: reference to {child} is dangling or not bottom-up")
-            made = prob.add_decision(var, lo, hi)
+                raise ParseError(f"node {nid}: {exc}") from exc
             has_theta = len(parts) == 7
             if saw_theta is None:
                 saw_theta = has_theta
@@ -363,16 +358,11 @@ def import_prob(text: str) -> Prob:
             try:
                 arity = int(parts[2])
                 children = [int(p) for p in parts[3:]]
+                if arity != len(children):
+                    raise ValueError(f"arity {arity} does not match {len(children)} children")
+                prob.add_conj(children)
             except ValueError as exc:
-                raise ParseError(f"node {nid}: bad integer field") from exc
-            if arity != len(children):
-                raise ParseError(f"node {nid}: arity {arity} does not match {len(children)} children")
-            if arity < 2:
-                raise ParseError(f"node {nid}: conjunction needs at least two children")
-            for child in children:
-                if not 0 <= child < nid:
-                    raise ParseError(f"node {nid}: reference to {child} is dangling or not bottom-up")
-            prob.add_conj(children)
+                raise ParseError(f"node {nid}: {exc}") from exc
         else:
             raise ParseError(f"node {nid}: unknown node kind {kind!r}")
 

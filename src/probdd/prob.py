@@ -93,22 +93,31 @@ class Prob:
         return ()
 
     def topo_order(self) -> list[int]:
-        """Reachable nodes, children before parents, deterministic."""
+        """Reachable nodes, children before parents, deterministic.
+
+        Every pass over the diagram walks this order, so it is where cycles
+        are caught: a child entered but not yet emitted lies on the current
+        path, and StructureError names it as the node that closes the cycle.
+        """
         order: list[int] = []
-        seen: set[int] = set()
+        emitted: dict[int, bool] = {}  # every entered node: emitted yet?
         stack: list[tuple[int, bool]] = [(self.root, False)]
         while stack:
             nid, expanded = stack.pop()
             if expanded:
                 order.append(nid)
+                emitted[nid] = True
                 continue
-            if nid in seen:
+            if nid in emitted:
                 continue
-            seen.add(nid)
+            emitted[nid] = False
             stack.append((nid, True))
             for child in reversed(self.children_of(nid)):
-                if child not in seen:
+                done = emitted.get(child)
+                if done is None:
                     stack.append((child, False))
+                elif not done:
+                    raise StructureError(f"cycle through node {child}", node_id=child)
         return order
 
     @property
@@ -154,7 +163,7 @@ def find_violations(prob: Prob) -> list[Violation]:
     """
     kappa = var_sets(prob)
     violations: list[Violation] = []
-    for nid in prob.topo_order():
+    for nid in kappa:  # the reachable nodes, children first
         node = prob.nodes[nid]
         if node.kind == "D":
             below = kappa[node.lo] | kappa[node.hi]
@@ -195,7 +204,10 @@ def check_smoothness(prob: Prob) -> bool:
 
 
 def validate_structure(prob: Prob) -> None:
-    """Raise StructureError on broken arenas: bad ids, cycles, bad parameters."""
+    """Raise StructureError on a broken arena slot: bad ids or bad parameters.
+
+    Each slot is checked on its own, without a walk; topo_order rejects cycles.
+    """
     nodes = prob.nodes
     if len(nodes) < 2 or nodes[FALSE_ID].kind != "F" or nodes[TRUE_ID].kind != "T":
         raise StructureError("ids 0 and 1 must be the false and true terminals")
@@ -225,13 +237,6 @@ def validate_structure(prob: Prob) -> None:
                     raise StructureError(f"node {nid}: dangling child {child}", node_id=nid)
         elif node.kind not in ("T", "F"):
             raise StructureError(f"node {nid}: unknown kind {node.kind!r}", node_id=nid)
-    # in a post-order of the reachable nodes every child precedes its parent unless it closes a cycle
-    order = prob.topo_order()
-    position = {nid: pos for pos, nid in enumerate(order)}
-    for nid in order:
-        for child in prob.children_of(nid):
-            if position[child] >= position[nid]:
-                raise StructureError(f"cycle through node {child}", node_id=child)
 
 
 def parameterize(prob: Prob, weights: WeightFunction) -> Prob:
@@ -479,7 +484,7 @@ def diagram_models(prob: Prob, max_vars: int = 24) -> np.ndarray:
         raise GuardError(f"{prob.num_vars} variables exceed the enumeration guard ({max_vars})")
     kappa = var_sets(prob)
     sets: dict[int, np.ndarray] = {}
-    for nid in prob.topo_order():
+    for nid in kappa:  # the reachable nodes, children first
         node = prob.nodes[nid]
         if node.kind == "F":
             sets[nid] = np.zeros(0, dtype=np.uint64)

@@ -321,6 +321,57 @@ class TestCheckers:
         assert prob.node_count == count
 
 
+def smooth_again(prob):
+    prob.smooth = False  # so that smooth walks the diagram instead of returning at once
+    return smooth(prob)
+
+
+class TestWalks:
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            var_sets,
+            find_violations,
+            check_determinism,
+            check_decomposability,
+            check_smoothness,
+            smooth_again,
+            annotate,
+            annotate_rational,
+            pytest.param(lambda prob: sample(prob, 3, 1), id="sample"),
+            Prob.count_kinds,
+            diagram_models,
+            export_prob,
+        ],
+    )
+    def test_every_pass_rejects_a_cycle(self, walk):
+        formula = parse_dimacs("p cnf 2 2\n1 2 0\n-1 -2 0\n")
+        prob = smooth(compile_cnf(formula, choose_ordering(formula, "natural")))
+        parameterize(prob, WeightFunction.uniform())
+        prob.nodes[prob.nodes[prob.root].lo].lo = prob.root  # a back edge wired by hand
+        with pytest.raises(StructureError) as err:
+            walk(prob)
+        assert err.value.node_id == prob.root
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda prob, text: import_prob(text), id="import_prob"),
+            pytest.param(lambda prob, text: export_prob(prob), id="export_prob"),
+            pytest.param(lambda prob, text: find_violations(prob), id="find_violations"),
+            pytest.param(lambda prob, text: diagram_models(prob), id="diagram_models"),
+        ],
+    )
+    def test_each_pass_walks_once(self, example_smooth, run, monkeypatch):
+        _, prob = example_smooth
+        text = export_prob(prob)
+        calls: list[Prob] = []
+        topo_order = Prob.topo_order
+        monkeypatch.setattr(Prob, "topo_order", lambda diagram: calls.append(diagram) or topo_order(diagram))
+        run(prob, text)
+        assert len(calls) == 1
+
+
 class TestLogSumExp:
     def test_zero_branch(self):
         assert log_sum_exp(math.log(0.25), NEG_INF) == math.log(0.25)
