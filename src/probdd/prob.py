@@ -95,29 +95,29 @@ class Prob:
     def topo_order(self) -> list[int]:
         """Reachable nodes, children before parents, deterministic.
 
-        Every pass over the diagram walks this order, so it is where cycles
-        are caught: a child entered but not yet emitted lies on the current
-        path, and StructureError names it as the node that closes the cycle.
+        Raises StructureError naming the node that closes a cycle: a node
+        reached again after it was entered but before it was emitted lies
+        on the current path.
         """
         order: list[int] = []
-        emitted: dict[int, bool] = {}  # every entered node: emitted yet?
+        entered: set[int] = set()
+        emitted: set[int] = set()
         stack: list[tuple[int, bool]] = [(self.root, False)]
         while stack:
             nid, expanded = stack.pop()
             if expanded:
                 order.append(nid)
-                emitted[nid] = True
+                emitted.add(nid)
                 continue
-            if nid in emitted:
+            if nid in entered:
+                if nid not in emitted:
+                    raise StructureError(f"cycle through node {nid}", node_id=nid)
                 continue
-            emitted[nid] = False
+            entered.add(nid)
             stack.append((nid, True))
             for child in reversed(self.children_of(nid)):
-                done = emitted.get(child)
-                if done is None:
+                if child not in emitted:
                     stack.append((child, False))
-                elif not done:
-                    raise StructureError(f"cycle through node {child}", node_id=child)
         return order
 
     @property
@@ -132,7 +132,7 @@ class Prob:
 
 
 def var_sets(prob: Prob) -> dict[int, frozenset[int]]:
-    """Per-node variable sets, computed bottom-up over reachable nodes."""
+    """Per-node variable sets of the reachable nodes, in topo_order (children first)."""
     kappa: dict[int, frozenset[int]] = {}
     for nid in prob.topo_order():
         node = prob.nodes[nid]
@@ -204,10 +204,7 @@ def check_smoothness(prob: Prob) -> bool:
 
 
 def validate_structure(prob: Prob) -> None:
-    """Raise StructureError on a broken arena slot: bad ids or bad parameters.
-
-    Each slot is checked on its own, without a walk; topo_order rejects cycles.
-    """
+    """Raise StructureError on a broken arena slot: bad ids or bad parameters (no walk; topo_order rejects cycles)."""
     nodes = prob.nodes
     if len(nodes) < 2 or nodes[FALSE_ID].kind != "F" or nodes[TRUE_ID].kind != "T":
         raise StructureError("ids 0 and 1 must be the false and true terminals")
