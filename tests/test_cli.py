@@ -265,8 +265,9 @@ class TestMutatedDiagramFiles:
     def test_commands_exit_with_a_code(self, tmp_path, text):
         prob_path = tmp_path / "mutated.prob"
         prob_path.write_text(text)
+        codes = (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_PROPERTY, EXIT_GUARD)
         for argv in (["check"], ["smooth"], ["sample", "-k", "5", "--seed", "1"]):
-            assert main([*argv, "--prob", str(prob_path)]) in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_PROPERTY, EXIT_GUARD)
+            assert main([*argv, "--prob", str(prob_path)]) in codes
 
 
 class TestSmoothCommand:
