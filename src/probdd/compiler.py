@@ -28,10 +28,11 @@ from collections import Counter
 
 from .cnf import CnfFormula, normalize_clause
 from .errors import GuardError, ParseError, StructureError
-from .prob import FALSE_ID, TRUE_ID, Prob, find_violations, validate_structure
+from .prob import FALSE_ID, TRUE_ID, Prob, find_violations
 
 DEFAULT_MAX_VARS = 30
 FORMAT_HEADER = "prob 1.0"
+THETA_SUM_TOL = 1e-12  # how far a decision line's two parameters may sum from 1
 
 
 class VariableOrdering:
@@ -250,7 +251,6 @@ def export_prob(prob: Prob) -> str:
     the terminals pinned at 0 and 1, so structurally identical diagrams
     export byte-identically.
     """
-    validate_structure(prob)
     remap = {FALSE_ID: 0, TRUE_ID: 1}
     body: list[str] = []
     next_id = 2
@@ -284,10 +284,12 @@ def import_prob(text: str) -> Prob:
 
     Each node line is checked as the arena adds it: a child must be an
     earlier node, which rules out cycles and dangling references.
-    Determinism and decomposability are validated in one walk over the
-    reachable nodes; the smoothness flag records whether the diagram is
-    smooth with full variable coverage. Branch parameters must be present
-    on either all or none of the decision lines.
+    Branch parameters must be present on either all or none of the
+    decision lines, and each pair is checked on its line: finite,
+    non-negative and summing to 1 within THETA_SUM_TOL. Determinism and
+    decomposability are validated in one walk over the reachable nodes;
+    the smoothness flag records whether the diagram is smooth with full
+    variable coverage.
     """
     lines = []
     for raw in text.splitlines():
@@ -352,6 +354,12 @@ def import_prob(text: str) -> Prob:
                     raise ParseError(f"node {nid}: parameters must be finite")
                 if node.theta_lo < 0 or node.theta_hi < 0:
                     raise ParseError(f"node {nid}: parameters must be non-negative")
+                if abs(node.theta_lo + node.theta_hi - 1.0) > THETA_SUM_TOL:
+                    raise StructureError(
+                        f"node {nid}: branch parameters sum to {node.theta_lo + node.theta_hi!r}, not 1",
+                        property_name="parameters",
+                        node_id=nid,
+                    )
         elif kind == "A":
             if len(parts) < 3:
                 raise ParseError(f"node {nid}: conjunction lines are '<id> A <k> <children...>'")
@@ -378,7 +386,6 @@ def import_prob(text: str) -> Prob:
     prob.root = root
     prob.parameterized = saw_theta if saw_theta is not None else True
 
-    validate_structure(prob)
     violations = find_violations(prob)
     for violation in violations:
         if violation.property_name in ("determinism", "decomposability"):

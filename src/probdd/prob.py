@@ -24,6 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -34,7 +35,6 @@ from .errors import GuardError, StructureError, WeightError
 FALSE_ID = 0
 TRUE_ID = 1
 NEG_INF = float("-inf")
-THETA_SUM_TOL = 1e-12
 
 
 @dataclass(slots=True)
@@ -51,7 +51,14 @@ class Node:
 
 
 class Prob:
-    """Arena-backed diagram with a designated root node."""
+    """Arena-backed diagram with a designated root node.
+
+    The arena owns its slots: add_decision and add_conj accept only
+    existing children, a variable in 1..num_vars and at least two
+    conjunction children. parameterized promises that every decision
+    node carries branch parameters; parameterize and import_prob set it,
+    and add_decision clears it, as a new decision has none.
+    """
 
     def __init__(self, num_vars: int):
         if num_vars < 0:
@@ -72,6 +79,7 @@ class Prob:
             if not 0 <= child < len(self.nodes):
                 raise ValueError(f"child id {child} does not exist")
         self.nodes.append(Node("D", var=var, lo=lo, hi=hi))
+        self.parameterized = False
         return len(self.nodes) - 1
 
     def add_conj(self, children: Iterable[int]) -> int:
@@ -182,12 +190,12 @@ def find_violations(prob: Prob) -> list[Violation]:
                     )
                     break
                 covered |= kappa[child]
-    if prob.root != FALSE_ID:
-        missing = frozenset(range(1, prob.num_vars + 1)) - kappa.get(prob.root, frozenset())
-        if missing:
-            violations.append(
-                Violation("smoothness", prob.root, f"diagram never mentions variables {sorted(missing)}")
-            )
+    covered = kappa.get(prob.root, frozenset())
+    if prob.root != FALSE_ID and len(covered) < prob.num_vars:  # the root's variables lie in 1..num_vars
+        # name only the first few missing variables, so the cost does not grow with num_vars
+        first = list(islice((v for v in range(1, prob.num_vars + 1) if v not in covered), 10))
+        detail = f"diagram never mentions {prob.num_vars - len(covered)} variables, first {first}"
+        violations.append(Violation("smoothness", prob.root, detail))
     return violations
 
 
@@ -201,39 +209,6 @@ def check_decomposability(prob: Prob) -> bool:
 
 def check_smoothness(prob: Prob) -> bool:
     return not any(v.property_name == "smoothness" for v in find_violations(prob))
-
-
-def validate_structure(prob: Prob) -> None:
-    """Raise StructureError on a broken arena slot: bad ids or bad parameters (no walk; topo_order rejects cycles)."""
-    nodes = prob.nodes
-    if len(nodes) < 2 or nodes[FALSE_ID].kind != "F" or nodes[TRUE_ID].kind != "T":
-        raise StructureError("ids 0 and 1 must be the false and true terminals")
-    if not 0 <= prob.root < len(nodes):
-        raise StructureError(f"root id {prob.root} does not exist")
-    for nid, node in enumerate(nodes):
-        if node.kind == "D":
-            if not 1 <= node.var <= prob.num_vars:
-                raise StructureError(f"node {nid}: variable {node.var} out of range", node_id=nid)
-            for child in (node.lo, node.hi):
-                if not 0 <= child < len(nodes):
-                    raise StructureError(f"node {nid}: dangling child {child}", node_id=nid)
-            has_theta = node.theta_lo is not None and node.theta_hi is not None
-            if has_theta and abs(node.theta_lo + node.theta_hi - 1.0) > THETA_SUM_TOL:
-                raise StructureError(
-                    f"node {nid}: branch parameters sum to {node.theta_lo + node.theta_hi!r}, not 1",
-                    property_name="parameters",
-                    node_id=nid,
-                )
-            if prob.parameterized and not has_theta:
-                raise StructureError(f"node {nid}: missing branch parameters", property_name="parameters", node_id=nid)
-        elif node.kind == "A":
-            if len(node.children) < 2:
-                raise StructureError(f"node {nid}: conjunction with fewer than two children", node_id=nid)
-            for child in node.children:
-                if not 0 <= child < len(nodes):
-                    raise StructureError(f"node {nid}: dangling child {child}", node_id=nid)
-        elif node.kind not in ("T", "F"):
-            raise StructureError(f"node {nid}: unknown kind {node.kind!r}", node_id=nid)
 
 
 def parameterize(prob: Prob, weights: WeightFunction) -> Prob:
@@ -284,7 +259,6 @@ def smooth(prob: Prob) -> Prob:
         if node.kind == "D" and node.lo == TRUE_ID and node.hi == TRUE_ID:
             dont_care.setdefault(node.var, nid)
     wrap_cache: dict[tuple[int, frozenset[int]], int] = {}
-    size = len(prob.nodes)
 
     def dc_node(var: int) -> int:
         nid = dont_care.get(var)
@@ -324,8 +298,6 @@ def smooth(prob: Prob) -> Prob:
     missing_root = frozenset(range(1, prob.num_vars + 1)) - kappa[prob.root]
     if missing_root:
         prob.root = wrap(prob.root, missing_root)
-    if len(prob.nodes) > size:
-        prob.parameterized = False
     prob.smooth = True
     return prob
 

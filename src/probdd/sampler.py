@@ -203,8 +203,6 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
         raise ValueError(f"unknown mode {mode!r}")
     if not prob.smooth:
         raise StructureError("sampling requires a smoothed diagram", property_name="smoothness")
-    if not prob.parameterized:
-        raise StructureError("sampling requires a parameterized diagram", property_name="parameters")
     if prob.root == FALSE_ID:
         raise ZeroProbabilityError("the diagram is unsatisfiable")
 

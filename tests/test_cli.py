@@ -253,6 +253,12 @@ class TestCheckCommand:
         assert main(["check", "--prob", str(prob_path)]) == EXIT_PROPERTY
         assert "parameters" in capsys.readouterr().err
 
+    def test_huge_variable_count_fails_smoothness(self, tmp_path, capsys):
+        prob_path = tmp_path / "huge.prob"
+        prob_path.write_text("prob 1.0\nnvars 100000000\nnnodes 3\n0 F\n1 T\n2 D 1 0 1\nroot 2\n")
+        assert main(["check", "--prob", str(prob_path)]) == EXIT_PROPERTY
+        assert "smoothness violated at node 2: diagram never mentions 99999999 variables" in capsys.readouterr().out
+
     def test_broken_file_fails(self, tmp_path):
         prob_path = tmp_path / "broken.prob"
         prob_path.write_text("prob 1.0\nnvars 1\nnnodes 4\n0 F\n1 T\n2 D 1 0 1\n3 D 1 2 1\nroot 3\n")

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from probdd import (
     compile_cnf,
     diagram_models,
     export_prob,
+    find_violations,
     import_prob,
     model_masks,
     parameterize,
@@ -346,3 +348,16 @@ class TestTextFormat:
             import_prob(UNNORMALIZED_PROB)
         assert err.value.property_name == "parameters"
         assert err.value.node_id == 2
+
+    def test_import_memory_does_not_grow_with_nvars(self):
+        text = "prob 1.0\nnvars 100000000\nnnodes 3\n0 F\n1 T\n2 D 1 0 1\nroot 2\n"
+        tracemalloc.start()
+        try:
+            prob = import_prob(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert not prob.smooth
+        (violation,) = find_violations(prob)
+        assert violation.detail == "diagram never mentions 99999999 variables, first [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"

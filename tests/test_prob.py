@@ -282,6 +282,16 @@ class TestSmooth:
         smooth(prob)
         assert not prob.parameterized
 
+    def test_smoothing_keeps_parameters_when_only_conjunctions_added(self):
+        # variable 2's don't-care decision exists already, so smoothing only
+        # joins it to the root with a conjunction, which has no parameters
+        prob = import_prob("prob 1.0\nnvars 2\nnnodes 4\n0 F\n1 T\n2 D 1 0 1 0.25 0.75\n3 D 2 1 1 0.4 0.6\nroot 2\n")
+        assert prob.parameterized and not prob.smooth
+        smooth(prob)
+        assert prob.nodes[prob.root].kind == "A" and prob.nodes[prob.root].children == (2, 3)
+        assert prob.parameterized
+        assert check_smoothness(prob)
+
 
 class TestCheckers:
     def test_example_smooth_passes_all(self, example_smooth):
@@ -441,6 +451,24 @@ class TestAnnotate:
         _, prob = example_smooth
         with pytest.raises(StructureError):
             annotate(prob)
+
+    def test_decision_added_after_parameterize_is_rejected(self):
+        # the new decision has no parameters, though the diagram is valid and
+        # smooth, so smoothing adds nothing that could clear the flag
+        prob = compile_cnf(parse_dimacs("p cnf 2 1\n1 0\n"))
+        parameterize(prob, WeightFunction.uniform())
+        prob.root = prob.add_decision(2, prob.root, prob.root)
+        smooth(prob)
+        assert find_violations(prob) == []
+        for draw in (annotate, lambda p: sample(p, 2, 1)):
+            with pytest.raises(StructureError) as err:
+                draw(prob)
+            assert err.value.property_name == "parameters"
+        text = export_prob(prob)
+        assert "None" not in text
+        back = import_prob(text)
+        assert back.smooth and not back.parameterized
+        assert export_prob(back) == text
 
     def test_root_mass_in_unit_interval(self):
         rng = random.Random(23)
