@@ -10,6 +10,8 @@ import argparse
 import math
 import os
 import sys
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .errors import (
     WeightError,
     ZeroProbabilityError,
 )
-from .oracle import MAX_ORACLE_VARS, compare, exact_distribution, occurrence_histogram
+from .oracle import MAX_ORACLE_VARS, compare, exact_distribution, occurrence_histogram, occurrence_histogram_csv
 from .prob import FALSE_ID, Prob, annotate, find_violations, parameterize, smooth
 from .sampler import run_incremental, round_reports_csv, sample
 
@@ -62,15 +64,16 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, chunks: Iterable[str]) -> None:
+    """Write the strings to path, or to stdout when path is None, one at a time."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ParseError(f"cannot write {path}: {exc}") from exc
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _resolve_seed(args) -> int:
@@ -85,50 +88,45 @@ def _resolve_seed(args) -> int:
     return 1
 
 
-def _load_formula(args) -> CnfFormula:
-    return parse_dimacs(_read(args.cnf))
+def _compile(args) -> tuple[CnfFormula, Prob]:
+    """The --cnf formula and its diagram, compiled in the --ordering under the --max-vars guard."""
+    formula = parse_dimacs(_read(args.cnf))
+    return formula, compile_cnf(formula, choose_ordering(formula, args.ordering), max_vars=args.max_vars)
 
 
-def _load_weights(args, formula: CnfFormula) -> WeightFunction:
-    if args.weights is None:
-        print("warning: no weights given, sampling uniformly", file=sys.stderr)
-        return WeightFunction.uniform()
-    return parse_weights(_read(args.weights), formula)
+def _load_weights(args, num_vars: int, parameterized: bool = False) -> WeightFunction | None:
+    """The --weights file, its literals range-checked against num_vars.
+
+    Without one: None for a diagram with parameters, else uniform weights and a warning.
+    """
+    if args.weights is not None:
+        return parse_weights(_read(args.weights), CnfFormula(num_vars, ()))
+    if parameterized:
+        return None
+    print("warning: no weights given, sampling uniformly", file=sys.stderr)
+    return WeightFunction.uniform()
 
 
-def _prepare_diagram(args) -> tuple[Prob, WeightFunction | None]:
-    """Build a smooth, parameterized diagram from --cnf or --prob."""
+def _prepare_diagram(args) -> tuple[CnfFormula | None, Prob, WeightFunction | None]:
+    """A smooth, parameterized diagram from --cnf or --prob, its formula (None for --prob) and weights."""
     if args.cnf is not None:
-        formula = _load_formula(args)
-        ordering = choose_ordering(formula, args.ordering)
-        prob = compile_cnf(formula, ordering, max_vars=args.max_vars)
-        weights = _load_weights(args, formula)
+        formula, prob = _compile(args)
     else:
-        prob = import_prob(_read(args.prob))
-        weights = None
-        if args.weights is not None:
-            scope = CnfFormula(prob.num_vars, ())  # for literal range checks only
-            weights = parse_weights(_read(args.weights), scope)
-    smooth(prob)
-    if weights is None and not prob.parameterized:
-        # covers imported skeletons and imports whose parameters were
-        # invalidated because smoothing added nodes
-        print("warning: no weights given, sampling uniformly", file=sys.stderr)
-        weights = WeightFunction.uniform()
+        formula, prob = None, import_prob(_read(args.prob))
+    smooth(prob)  # before the weights: smoothing drops imported parameters when it adds nodes
+    weights = _load_weights(args, prob.num_vars, prob.parameterized)
     if weights is not None:
         parameterize(prob, weights)
-    return prob, weights
+    return formula, prob, weights
 
 
 def cmd_compile(args) -> int:
-    formula = _load_formula(args)
-    ordering = choose_ordering(formula, args.ordering)
-    prob = compile_cnf(formula, ordering, max_vars=args.max_vars)
+    _, prob = _compile(args)
     if args.smooth:
         smooth(prob)
     if prob.root == FALSE_ID:
         print("warning: the formula is unsatisfiable", file=sys.stderr)
-    _write(args.out, export_prob(prob))
+    _write(args.out, [export_prob(prob)])
     kinds = prob.count_kinds()
     print(
         f"nodes={sum(kinds.values())} decision={kinds['D']} conj={kinds['A']} terminals={kinds['T'] + kinds['F']}",
@@ -140,34 +138,33 @@ def cmd_compile(args) -> int:
 def cmd_smooth(args) -> int:
     prob = import_prob(_read(args.prob))
     smooth(prob)
-    _write(args.out, export_prob(prob))
+    _write(args.out, [export_prob(prob)])
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    prob, _ = _prepare_diagram(args)
+    _, prob, _ = _prepare_diagram(args)
     batch = sample(prob, args.k, _resolve_seed(args), mode=args.mode, threads=args.threads)
-    _write(args.out, batch.model_lines())
+    _write(args.out, batch.model_line_blocks())
     return EXIT_OK
 
 
 def cmd_inc(args) -> int:
-    formula = _load_formula(args)
-    weights = _load_weights(args, formula)
-    ordering = choose_ordering(formula, args.ordering)
+    formula = parse_dimacs(_read(args.cnf))
     reports = run_incremental(
         formula,
-        weights,
+        _load_weights(args, formula.num_vars),
         rounds=args.rounds,
         k=args.k,
         seed=_resolve_seed(args),
-        ordering=ordering,
+        ordering=choose_ordering(formula, args.ordering),
         mode=args.mode,
         threads=args.threads,
         max_vars=args.max_vars,
     )
     sys.stdout.write(round_reports_csv(reports))
-    _write(args.out, "".join(f"c round {rep.round}\n" + rep.samples.model_lines() for rep in reports))
+    rounds = (chain([f"c round {rep.round}\n"], rep.samples.model_line_blocks()) for rep in reports)
+    _write(args.out, chain.from_iterable(rounds))
     return EXIT_OK
 
 
@@ -197,26 +194,18 @@ def cmd_check(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    formula = _load_formula(args)
-    weights = _load_weights(args, formula)
-    ordering = choose_ordering(formula, args.ordering)
-    prob = compile_cnf(formula, ordering, max_vars=args.max_vars)
-    smooth(prob)
-    parameterize(prob, weights)
+    formula, prob, weights = _prepare_diagram(args)
     batch = sample(prob, args.k, _resolve_seed(args), mode=args.mode, threads=args.threads)
     if formula.num_vars <= MAX_ORACLE_VARS:
         exact = exact_distribution(formula, weights)
         report = compare(batch, exact)
-        _write(args.out, report.histogram_csv())
+        _write(args.out, [report.histogram_csv()])
         print(f"samples={len(batch)} support={len(exact)}")
         print(f"tv_distance={report.tv_distance:.6f}")
         print(f"chi_square={report.chi_square:.4f} dof={report.chi_square_dof} p_value={report.chi_square_p:.6g}")
     else:
         _, counts = np.unique(batch.masks, axis=0, return_counts=True)
-        histogram = occurrence_histogram(counts)
-        lines = ["occurrences,num_unique_solutions"]
-        lines.extend(f"{occ},{num}" for occ, num in histogram)
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, [occurrence_histogram_csv(occurrence_histogram(counts))])
         print(f"samples={len(batch)} (oracle comparison skipped beyond {MAX_ORACLE_VARS} variables)")
     return EXIT_OK
 

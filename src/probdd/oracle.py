@@ -145,15 +145,20 @@ class ComparisonReport:
     histogram: list[tuple[int, int]]        # (occurrences, number of unique solutions)
 
     def histogram_csv(self) -> str:
-        lines = ["occurrences,num_unique_solutions"]
-        lines.extend(f"{occ},{num}" for occ, num in self.histogram)
-        return "\n".join(lines) + "\n"
+        return occurrence_histogram_csv(self.histogram)
 
 
 def occurrence_histogram(counts: np.ndarray) -> list[tuple[int, int]]:
     """How many support models were sampled exactly x times, for each seen x."""
     values, freqs = np.unique(counts, return_counts=True)
     return [(int(v), int(f)) for v, f in zip(values, freqs)]
+
+
+def occurrence_histogram_csv(histogram: list[tuple[int, int]]) -> str:
+    """The occurrence histogram as CSV with a header row."""
+    lines = ["occurrences,num_unique_solutions"]
+    lines.extend(f"{occ},{num}" for occ, num in histogram)
+    return "\n".join(lines) + "\n"
 
 
 def compare(batch: SampleBatch, exact: ExactDistribution) -> ComparisonReport:

@@ -57,7 +57,8 @@ class Prob:
     existing children, a variable in 1..num_vars and at least two
     conjunction children. parameterized promises that every decision
     node carries branch parameters; parameterize and import_prob set it,
-    and add_decision clears it, as a new decision has none.
+    and add_decision clears it, as a new decision has none. Likewise
+    smooth and import_prob set smooth, and both add_ calls clear it.
     """
 
     def __init__(self, num_vars: int):
@@ -80,6 +81,7 @@ class Prob:
                 raise ValueError(f"child id {child} does not exist")
         self.nodes.append(Node("D", var=var, lo=lo, hi=hi))
         self.parameterized = False
+        self.smooth = False
         return len(self.nodes) - 1
 
     def add_conj(self, children: Iterable[int]) -> int:
@@ -90,6 +92,7 @@ class Prob:
             if not 0 <= child < len(self.nodes):
                 raise ValueError(f"child id {child} does not exist")
         self.nodes.append(Node("A", children=kids))
+        self.smooth = False
         return len(self.nodes) - 1
 
     def children_of(self, nid: int) -> tuple[int, ...]:
@@ -409,8 +412,10 @@ def weighted_model_count(prob: Prob, weights: WeightFunction, mode: str = "log")
     Recovered from the root annotation by undoing the per-variable
     normalization: N = P(root) * prod_x (W(x) + W(-x)). With unit
     weights this is the model count. mode 'rational' returns an exact
-    Fraction, mode 'log' a float. The diagram is re-parameterized with
-    the given weights so annotation and normalization always agree.
+    Fraction, mode 'log' a float from the sum of the factors' logs, so
+    that no partial product under- or overflows. The diagram is
+    re-parameterized with the given weights so annotation and
+    normalization always agree.
     """
     if mode not in ARITHMETICS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -427,10 +432,14 @@ def weighted_model_count(prob: Prob, weights: WeightFunction, mode: str = "log")
     phi_log = annotate(prob)
     if prob.root not in phi_log:
         return 0.0
-    scale = 1.0
+    log_count = phi_log[prob.root]
     for var in range(1, prob.num_vars + 1):
-        scale *= weights[-var] + weights[var]
-    return math.exp(phi_log[prob.root]) * scale
+        low, top = sorted(weights.pair(var))  # top > 0: a pair is never both zero
+        log_count += math.log(top) + math.log1p(low / top)
+    try:
+        return math.exp(log_count)
+    except OverflowError:  # the count exceeds the largest double
+        return math.inf
 
 
 def _expand_free(masks: np.ndarray, free_vars: Iterable[int]) -> np.ndarray:

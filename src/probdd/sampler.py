@@ -38,12 +38,12 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .cnf import Assignment, CnfFormula, WeightFunction
-from .compiler import VariableOrdering, choose_ordering, compile_cnf, DEFAULT_MAX_VARS
+from .compiler import VariableOrdering, compile_cnf, DEFAULT_MAX_VARS
 from .errors import StructureError, ZeroProbabilityError
 from .prob import ARITHMETICS, FALSE_ID, TRUE_ID, Prob, annotate_branches, parameterize, smooth
 
@@ -62,7 +62,6 @@ class SampleBatch:
     masks: np.ndarray
     num_vars: int
     seed: int
-    round: int = 1
     root_log_prob: float = 0.0
 
     def __len__(self) -> int:
@@ -94,21 +93,19 @@ class SampleBatch:
             counts += self._bits(start, start + _BLOCK_ROWS).sum(axis=0, dtype=np.int64)
         return counts / k
 
-    def model_lines(self) -> str:
-        """One DIMACS-style model line per sample: signed literals then 0.
+    def model_line_blocks(self) -> Iterator[str]:
+        """One DIMACS-style model line per sample, yielded _BLOCK_ROWS lines at a time.
 
         Each line is the literals "v" or "-v" for v = 1..num_vars, each
-        followed by a space, then "0" and a newline. numpy writes them a
-        block of _BLOCK_ROWS samples at a time: the unpacked mask bits
-        pick each variable's token from a zero-padded byte table, the
-        padding is dropped and the block is decoded to one string.
+        followed by a space, then "0" and a newline. Per block, numpy
+        picks each variable's token by the unpacked mask bits from a
+        zero-padded byte table, drops the padding and decodes one string.
         """
         n = self.num_vars
         width = len(str(n)) + 2
         tokens = "".join(f"{sign}{v} ".ljust(width, "\0") for sign in ("-", "") for v in range(1, n + 1))
         table = np.frombuffer(tokens.encode("ascii"), dtype=np.uint8).reshape(2, n, width)
         columns = np.arange(n)
-        blocks = []
         for start in range(0, len(self), _BLOCK_ROWS):
             picked = table[self._bits(start, start + _BLOCK_ROWS), columns]
             rows = np.empty((len(picked), n * width + 2), dtype=np.uint8)
@@ -117,8 +114,11 @@ class SampleBatch:
             rows[:, n * width :] = np.frombuffer(b"0\n", dtype=np.uint8)
             text = rows[rows != 0]
             del rows
-            blocks.append(str(text, "ascii"))
-        return "".join(blocks)
+            yield str(text, "ascii")
+
+    def model_lines(self) -> str:
+        """All model lines as one string; see model_line_blocks."""
+        return "".join(self.model_line_blocks())
 
 
 UpdateRule = Callable[[SampleBatch, WeightFunction], WeightFunction]
@@ -128,16 +128,13 @@ def _node_uniforms(seed: int, stream: int, start: int, stop: int) -> np.ndarray:
     """Doubles [start, stop) of the node's dedicated counter-based stream.
 
     The generator emits four 64-bit words per counter step and one double
-    consumes one word, so advancing the counter by start // 4 and
+    consumes one word, so starting the counter at start // 4 and
     trimming the remainder lands exactly on draw `start`.
     """
     key = np.array([seed & MASK64, stream], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
     skip, offset = divmod(start, 4)
-    if skip:
-        bitgen.advance(skip)
-    uniforms = np.random.Generator(bitgen).random(stop - 4 * skip)
-    return uniforms[offset:] if offset else uniforms
+    bitgen = np.random.Philox(key=key, counter=skip)
+    return np.random.Generator(bitgen).random(stop - 4 * skip)[offset:]
 
 
 def _route(prob: Prob, order: list[int], p_hi: dict[int, float], seed: int, start: int, out: np.ndarray) -> None:
@@ -303,8 +300,6 @@ def run_incremental(
     """
     if rounds < 1 or k < 1:
         raise ValueError("rounds and k must be at least 1")
-    if ordering is None:
-        ordering = choose_ordering(formula)
 
     t0 = time.perf_counter()
     prob = compile_cnf(formula, ordering, max_vars=max_vars)
@@ -324,7 +319,6 @@ def run_incremental(
         t0 = time.perf_counter()
         batch = sample(prob, k, round_seed(seed, rnd), mode=mode, threads=threads)
         sample_s = time.perf_counter() - t0
-        batch.round = rnd
         reports.append(
             RoundReport(
                 round=rnd,

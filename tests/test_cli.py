@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from probdd import choose_ordering, compile_cnf, parameterize, parse_dimacs, parse_weights, run_incremental, sample, smooth
 from probdd.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
 
 from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, mutated_exports, record_pools
@@ -171,6 +172,16 @@ class TestSampleCommand:
         assert code == EXIT_OK
         assert len(out.read_text().splitlines()) == 10
 
+    def test_streamed_output_equals_model_lines(self, cnf_file, weights_file, tmp_path):
+        # k spans several formatting blocks, each written on its own
+        out = tmp_path / "models.txt"
+        argv = ["sample", "--cnf", cnf_file, "--weights", weights_file, "-k", "20000", "--seed", "4", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        formula = parse_dimacs(EXAMPLE_DIMACS)
+        prob = smooth(compile_cnf(formula, choose_ordering(formula, "occ")))
+        parameterize(prob, parse_weights(EXAMPLE_WEIGHTS, formula))
+        assert out.read_text() == sample(prob, 20000, 4).model_lines()
+
     def test_unwritable_out_is_input_error(self, cnf_file, tmp_path, capsys):
         code = main(["sample", "--cnf", cnf_file, "-k", "3", "--out", str(tmp_path)])
         assert code == EXIT_INPUT
@@ -214,6 +225,17 @@ class TestIncCommand:
         assert len(csv_lines) == 11
         model_lines = [l for l in models.read_text().splitlines() if not l.startswith("c ")]
         assert len(model_lines) == 1000
+
+    def test_streamed_output_equals_joined_rounds(self, cnf_file, weights_file, tmp_path, capsys):
+        out = tmp_path / "models.txt"
+        argv = ["inc", "--cnf", cnf_file, "--weights", weights_file, "--rounds", "3", "-k", "10000", "--seed", "6"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        formula = parse_dimacs(EXAMPLE_DIMACS)
+        reports = run_incremental(
+            formula, parse_weights(EXAMPLE_WEIGHTS, formula), rounds=3, k=10000, seed=6,
+            ordering=choose_ordering(formula, "occ"),
+        )
+        assert out.read_text() == "".join(f"c round {rep.round}\n" + rep.samples.model_lines() for rep in reports)
 
     def test_twenty_rounds(self, cnf_file, tmp_path, capsys):
         models = tmp_path / "models.txt"
@@ -308,7 +330,9 @@ class TestDistCommand:
         code = main(["dist", "--cnf", str(chain), "-k", "100", "--max-vars", "100", "--out", str(hist)])
         assert code == EXIT_OK
         assert "samples=100" in capsys.readouterr().out
-        rows = [line.split(",") for line in hist.read_text().splitlines()[1:]]
+        header, *lines = hist.read_text().splitlines()
+        assert header == "occurrences,num_unique_solutions"
+        rows = [line.split(",") for line in lines]
         assert sum(int(occ) * int(num) for occ, num in rows) == 100
 
 

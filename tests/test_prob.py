@@ -292,6 +292,22 @@ class TestSmooth:
         assert prob.parameterized
         assert check_smoothness(prob)
 
+    def test_node_added_after_smoothing_clears_the_flag(self):
+        prob = Prob(2)
+        prob.root = prob.add_decision(1, TRUE_ID, TRUE_ID)
+        smooth(prob)
+        x2 = prob.add_decision(2, TRUE_ID, FALSE_ID)
+        prob.root = prob.add_decision(1, x2, TRUE_ID)  # models -x1 -x2, x1 -x2, x1 x2
+        parameterize(prob, WeightFunction.uniform())
+        assert not prob.smooth
+        with pytest.raises(StructureError):
+            sample(prob, 10, 1)
+        smooth(prob)
+        parameterize(prob, WeightFunction.uniform())
+        masks, counts = np.unique(sample(prob, 30_000, 1).masks[:, 0], return_counts=True)
+        assert masks.tolist() == [0, 1, 3]
+        assert np.allclose(counts / 30_000, 1 / 3, atol=0.02)
+
 
 class TestCheckers:
     def test_example_smooth_passes_all(self, example_smooth):
@@ -508,6 +524,13 @@ class TestWeightedModelCount:
         w = weights_75()
         assert weighted_model_count(prob, w, "rational") == Fraction(3, 8)
         assert math.isclose(weighted_model_count(prob, w, "log"), 0.375, rel_tol=1e-12)
+
+    def test_log_count_of_many_variables_is_finite(self):
+        # P(root) alone underflows and the product of the 1,100 pair sums
+        # alone overflows, though the count is 1
+        n = 1100
+        prob = smooth(compile_cnf(CnfFormula(n, tuple((v,) for v in range(1, n + 1))), max_vars=n))
+        assert math.isclose(weighted_model_count(prob, WeightFunction.uniform(), "log"), 1.0, rel_tol=1e-9)
 
     def test_unsatisfiable_counts_zero(self):
         prob = smooth(compile_cnf(CnfFormula(2, ((),))))
