@@ -94,27 +94,27 @@ def _compile(args) -> tuple[CnfFormula, Prob]:
     return formula, compile_cnf(formula, choose_ordering(formula, args.ordering), max_vars=args.max_vars)
 
 
-def _load_weights(args, num_vars: int, parameterized: bool = False) -> WeightFunction | None:
+def _load_weights(args, num_vars: int, imported: bool = False, kept: bool = False) -> WeightFunction | None:
     """The --weights file, its literals range-checked against num_vars.
 
-    Without one: None for a diagram with parameters, else uniform weights and a warning.
+    Without one: None if the diagram was imported with parameters and
+    kept them, else uniform weights and a warning saying why.
     """
     if args.weights is not None:
         return parse_weights(_read(args.weights), CnfFormula(num_vars, ()))
-    if parameterized:
+    if imported and kept:
         return None
-    print("warning: no weights given, sampling uniformly", file=sys.stderr)
+    why = "smoothing added decisions without branch parameters" if imported else "no weights given"
+    print(f"warning: {why}, sampling uniformly", file=sys.stderr)
     return WeightFunction.uniform()
 
 
 def _prepare_diagram(args) -> tuple[CnfFormula | None, Prob, WeightFunction | None]:
     """A smooth, parameterized diagram from --cnf or --prob, its formula (None for --prob) and weights."""
-    if args.cnf is not None:
-        formula, prob = _compile(args)
-    else:
-        formula, prob = None, import_prob(_read(args.prob))
+    formula, prob = _compile(args) if args.cnf is not None else (None, import_prob(_read(args.prob)))
+    imported = args.cnf is None and prob.parameterized  # only a --prob file can carry parameters
     smooth(prob)  # before the weights: smoothing drops imported parameters when it adds nodes
-    weights = _load_weights(args, prob.num_vars, prob.parameterized)
+    weights = _load_weights(args, prob.num_vars, imported, prob.parameterized)
     if weights is not None:
         parameterize(prob, weights)
     return formula, prob, weights

@@ -252,6 +252,7 @@ def export_prob(prob: Prob) -> str:
     export byte-identically.
     """
     remap = {FALSE_ID: 0, TRUE_ID: 1}
+    parameterized = prob.parameterized
     body: list[str] = []
     next_id = 2
     for nid in prob.topo_order():
@@ -261,7 +262,7 @@ def export_prob(prob: Prob) -> str:
         remap[nid] = next_id
         if node.kind == "D":
             line = f"{next_id} D {node.var} {remap[node.lo]} {remap[node.hi]}"
-            if prob.parameterized:
+            if parameterized:
                 line += f" {node.theta_lo!r} {node.theta_hi!r}"
         else:
             line = f"{next_id} A {len(node.children)} " + " ".join(str(remap[c]) for c in node.children)
@@ -287,9 +288,9 @@ def import_prob(text: str) -> Prob:
     Branch parameters must be present on either all or none of the
     decision lines, and each pair is checked on its line: finite,
     non-negative and summing to 1 within THETA_SUM_TOL. Determinism and
-    decomposability are validated in one walk over the reachable nodes;
-    the smoothness flag records whether the diagram is smooth with full
-    variable coverage.
+    decomposability are validated in one walk over the reachable nodes,
+    and the root is recorded as smoothed_root when that walk finds it
+    smooth with full variable coverage.
     """
     lines = []
     for raw in text.splitlines():
@@ -384,7 +385,6 @@ def import_prob(text: str) -> Prob:
     if not 0 <= root < num_nodes:
         raise ParseError(f"root id {root} does not exist")
     prob.root = root
-    prob.parameterized = saw_theta if saw_theta is not None else True
 
     violations = find_violations(prob)
     for violation in violations:
@@ -394,5 +394,5 @@ def import_prob(text: str) -> Prob:
                 property_name=violation.property_name,
                 node_id=violation.node_id,
             )
-    prob.smooth = not any(v.property_name == "smoothness" for v in violations)
+    prob.smoothed_root = None if any(v.property_name == "smoothness" for v in violations) else root
     return prob

@@ -55,10 +55,10 @@ class Prob:
 
     The arena owns its slots: add_decision and add_conj accept only
     existing children, a variable in 1..num_vars and at least two
-    conjunction children. parameterized promises that every decision
-    node carries branch parameters; parameterize and import_prob set it,
-    and add_decision clears it, as a new decision has none. Likewise
-    smooth and import_prob set smooth, and both add_ calls clear it.
+    conjunction children, and only append. parameterized holds while
+    every decision in the arena has branch parameters (a scan: read it
+    once per pass); smooth while root is smoothed_root, the root smooth()
+    or import_prob last found smooth, so only moving root clears it.
     """
 
     def __init__(self, num_vars: int):
@@ -67,8 +67,15 @@ class Prob:
         self.nodes: list[Node] = [Node("F"), Node("T")]
         self.root: int = FALSE_ID
         self.num_vars = num_vars
-        self.smooth = False
-        self.parameterized = False
+        self.smoothed_root: int | None = None
+
+    @property
+    def smooth(self) -> bool:
+        return self.smoothed_root == self.root
+
+    @property
+    def parameterized(self) -> bool:
+        return all(node.theta_lo is not None for node in self.nodes if node.kind == "D")
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -80,8 +87,6 @@ class Prob:
             if not 0 <= child < len(self.nodes):
                 raise ValueError(f"child id {child} does not exist")
         self.nodes.append(Node("D", var=var, lo=lo, hi=hi))
-        self.parameterized = False
-        self.smooth = False
         return len(self.nodes) - 1
 
     def add_conj(self, children: Iterable[int]) -> int:
@@ -92,7 +97,6 @@ class Prob:
             if not 0 <= child < len(self.nodes):
                 raise ValueError(f"child id {child} does not exist")
         self.nodes.append(Node("A", children=kids))
-        self.smooth = False
         return len(self.nodes) - 1
 
     def children_of(self, nid: int) -> tuple[int, ...]:
@@ -235,7 +239,6 @@ def parameterize(prob: Prob, weights: WeightFunction) -> Prob:
             raise WeightError(f"variable {node.var}: W(x) + W(-x) must be positive")
         node.theta_lo = w_neg / total
         node.theta_hi = w_pos / total
-    prob.parameterized = True
     return prob
 
 
@@ -248,10 +251,10 @@ def smooth(prob: Prob) -> Prob:
     (both branches pointing at the true terminal, one node per variable).
     Variables absent from the entire diagram are wrapped around the root
     the same way, so samples always cover every variable. The model set
-    is unchanged. Diagrams already flagged smooth are returned as-is.
+    is unchanged. A diagram already smooth at its root is returned as-is.
     """
     if prob.smooth or prob.root == FALSE_ID:
-        prob.smooth = True
+        prob.smoothed_root = prob.root
         return prob
 
     # Smoothing only adds variables the other branch already covers, so
@@ -301,7 +304,7 @@ def smooth(prob: Prob) -> Prob:
     missing_root = frozenset(range(1, prob.num_vars + 1)) - kappa[prob.root]
     if missing_root:
         prob.root = wrap(prob.root, missing_root)
-    prob.smooth = True
+    prob.smoothed_root = prob.root
     return prob
 
 

@@ -253,16 +253,14 @@ def default_update_rule(batch: SampleBatch, previous: WeightFunction) -> WeightF
 class RoundReport:
     """Timing and output of one sampling round.
 
-    wall_time covers re-parameterization plus sampling (annotation and
-    the drawing pass); compile_s and smooth_s are nonzero only in the
-    round that built the diagram.
+    param_s is the re-parameterization and sample_s the sampling
+    (annotation and the drawing pass); compile_s and smooth_s are nonzero
+    only in the round that built the diagram.
     """
 
     round: int
-    wall_time: float
     samples: SampleBatch
     weights: WeightFunction
-    root_log_prob: float
     compile_s: float = 0.0
     smooth_s: float = 0.0
     param_s: float = 0.0
@@ -322,10 +320,8 @@ def run_incremental(
         reports.append(
             RoundReport(
                 round=rnd,
-                wall_time=param_s + sample_s,
                 samples=batch,
                 weights=weights,
-                root_log_prob=batch.root_log_prob,
                 compile_s=compile_s if rnd == 1 else 0.0,
                 smooth_s=smooth_s if rnd == 1 else 0.0,
                 param_s=param_s,
@@ -341,6 +337,6 @@ def round_reports_csv(reports: list[RoundReport]) -> str:
     for rep in reports:
         lines.append(
             f"{rep.round},{rep.compile_s:.6f},{rep.smooth_s:.6f},{rep.param_s:.6f},"
-            f"{rep.sample_s:.6f},{rep.total_s:.6f},{rep.root_log_prob:.12g}"
+            f"{rep.sample_s:.6f},{rep.total_s:.6f},{rep.samples.root_log_prob:.12g}"
         )
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ import random
 from hypothesis import strategies as st
 
 from probdd import CnfFormula, WeightFunction, compile_cnf, export_prob, model_masks, parameterize, smooth
-from probdd.cnf import normalize_clause
+from probdd.cnf import normalize_clause, render_dimacs
 
 # Worked example used throughout: (x or y) and (not x or not z) with x=1 y=2 z=3.
 # Its models, as bitmasks with bit v-1 = variable v:
@@ -116,15 +116,39 @@ MUTATION_TOKENS = ("-1", "0", "1", "2", "3", "4", "5", "6", "7", "9", "0.5", "1.
                    "1e309", "D", "A", "F", "T", "root", "nvars", "x")
 
 
+def mutate_lines(rng: random.Random, text: str, tokens: tuple[str, ...], first: int = 0) -> str:
+    """text after one or two mutations, drawn from rng, that leave lines before `first` alone.
+
+    A mutation replaces, inserts or deletes a token, swaps two lines or
+    deletes one.
+    """
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(rng.randint(1, 2)):
+        op = rng.choice(("replace", "replace", "insert", "delete", "swap", "drop"))
+        row = rng.randrange(first, len(lines))
+        words = lines[row]
+        if op == "insert":
+            words.insert(rng.randint(0, len(words)), rng.choice(tokens))
+        elif op == "replace" and words:
+            words[rng.randrange(len(words))] = rng.choice(tokens)
+        elif op == "delete" and words:
+            del words[rng.randrange(len(words))]
+        elif op == "swap":
+            other = rng.randrange(first, len(lines))
+            lines[row], lines[other] = lines[other], words
+        elif op == "drop" and len(lines) > first + 1:
+            del lines[row]
+    return "".join(" ".join(words) + "\n" for words in lines)
+
+
 @st.composite
 def mutated_exports(draw):
     """Exports of small compiled diagrams after one or two mutations.
 
     Everything is drawn from one seeded generator, so places are uniform:
     a random formula over two to five variables is compiled, then maybe
-    smoothed and maybe parameterized. A mutation replaces, inserts or
-    deletes a token, swaps two lines or deletes one. The "prob 1.0" header
-    line is left alone so that most files get past it.
+    smoothed and maybe parameterized, then mutated by mutate_lines. The
+    "prob 1.0" header line is left alone so that most files get past it.
     """
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = rng.randint(2, 5)
@@ -133,20 +157,34 @@ def mutated_exports(draw):
         smooth(prob)
     if rng.random() < 0.5:
         parameterize(prob, random_weights(rng, n))
-    lines = [line.split() for line in export_prob(prob).splitlines()]
-    for _ in range(rng.randint(1, 2)):
-        op = rng.choice(("replace", "replace", "insert", "delete", "swap", "drop"))
-        row = rng.randrange(1, len(lines))
-        tokens = lines[row]
-        if op == "insert":
-            tokens.insert(rng.randint(0, len(tokens)), rng.choice(MUTATION_TOKENS))
-        elif op == "replace" and tokens:
-            tokens[rng.randrange(len(tokens))] = rng.choice(MUTATION_TOKENS)
-        elif op == "delete" and tokens:
-            del tokens[rng.randrange(len(tokens))]
-        elif op == "swap":
-            other = rng.randrange(1, len(lines))
-            lines[row], lines[other] = lines[other], tokens
-        elif op == "drop" and len(lines) > 2:
-            del lines[row]
-    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+    return mutate_lines(rng, export_prob(prob), MUTATION_TOKENS, first=1)
+
+
+# Tokens a mutation may put into a DIMACS or weight file; small integers, as above.
+INPUT_TOKENS = ("-9", "-3", "-2", "-1", "0", "1", "2", "3", "8", "9", "0.5", "-0.5", "1e-320", "1e300",
+                "1e309", "nan", "p", "cnf", "c", "w", "#", "x")
+WEIGHT_LEVELS = ("0", "1e-300", "0.5", "1", "7", "1e300")
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A DIMACS file and a weight file over at most eight variables, one or both mutated.
+
+    Both start valid and small: a random formula over zero to eight
+    variables, and weights from WEIGHT_LEVELS on some of its literals
+    after a comment line, so that the file is never empty. Then the
+    DIMACS file, the weight file, both or neither go through
+    mutate_lines, header and comment lines included.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(0, 8)
+    formula = random_mixed_cnf(rng, n, rng.randint(0, 2 * n)) if n else CnfFormula(0, ())
+    cnf = render_dimacs(formula)
+    lits = [lit for v in range(1, n + 1) for lit in (v, -v) if rng.random() < 0.5]
+    weights = "# weights\n" + "".join(f"w {lit} {rng.choice(WEIGHT_LEVELS)}\n" for lit in lits)
+    which = rng.choice(("cnf", "weights", "both", "neither"))
+    if which in ("cnf", "both"):
+        cnf = mutate_lines(rng, cnf, INPUT_TOKENS)
+    if which in ("weights", "both"):
+        weights = mutate_lines(rng, weights, INPUT_TOKENS)
+    return cnf, weights

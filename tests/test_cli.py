@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from probdd import choose_ordering, compile_cnf, parameterize, parse_dimacs, parse_weights, run_incremental, sample, smooth
 from probdd.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
 
-from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, mutated_exports, record_pools
+from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, mutated_exports, mutated_inputs, record_pools
 
 NON_SMOOTH_PROB = "prob 1.0\nnvars 3\nnnodes 5\n0 F\n1 T\n2 D 2 0 1\n3 D 3 1 0\n4 D 1 2 3\nroot 4\n"
 
@@ -139,6 +139,20 @@ class TestSampleCommand:
         out = tmp_path / "m.txt"
         assert main(["sample", "--cnf", cnf_file, "-k", "3", "--seed", "2", "--out", str(out)]) == EXIT_OK
         assert "uniform" in capsys.readouterr().err
+
+    def test_uniform_warning_says_why(self, tmp_path, capsys):
+        out = str(tmp_path / "out.txt")
+        empty = tmp_path / "empty.cnf"  # no decisions, yet only a --prob file carries parameters
+        empty.write_text("p cnf 0 0\n")
+        for command in ("sample", "dist"):
+            assert main([command, "--cnf", str(empty), "-k", "2", "--out", out]) == EXIT_OK
+            assert "warning: no weights given, sampling uniformly" in capsys.readouterr().err
+        dropped = "warning: smoothing added decisions without branch parameters, sampling uniformly\n"
+        for num_vars, err in ((2, dropped), (1, "")):  # variable 2 needs a new don't-care decision
+            prob_path = tmp_path / f"{num_vars}.prob"
+            prob_path.write_text(f"prob 1.0\nnvars {num_vars}\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 0.25 0.75\nroot 2\n")
+            assert main(["sample", "--prob", str(prob_path), "-k", "2", "--out", out]) == EXIT_OK
+            assert capsys.readouterr().err == err
 
     def test_both_sources_is_usage_error(self, cnf_file):
         with pytest.raises(SystemExit) as err:
@@ -296,6 +310,20 @@ class TestMutatedDiagramFiles:
         codes = (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_PROPERTY, EXIT_GUARD)
         for argv in (["check"], ["smooth"], ["sample", "-k", "5", "--seed", "1"]):
             assert main([*argv, "--prob", str(prob_path)]) in codes
+
+
+class TestMutatedInputFiles:
+    @given(mutated_inputs())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_commands_exit_with_a_code(self, tmp_path, capsys, files):
+        cnf_path, weights_path = tmp_path / "mutated.cnf", tmp_path / "mutated.w"
+        cnf_path.write_text(files[0])
+        weights_path.write_text(files[1])
+        codes = (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_PROPERTY, EXIT_GUARD)
+        for command in ("sample", "inc", "dist"):
+            argv = [command, "--cnf", str(cnf_path), "--weights", str(weights_path), "-k", "5", "--seed", "1"]
+            assert main([*argv, "--out", str(tmp_path / "out.txt")]) in codes
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSmoothCommand:

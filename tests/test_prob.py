@@ -292,7 +292,7 @@ class TestSmooth:
         assert prob.parameterized
         assert check_smoothness(prob)
 
-    def test_node_added_after_smoothing_clears_the_flag(self):
+    def test_moving_the_root_after_smoothing_clears_smoothness(self):
         prob = Prob(2)
         prob.root = prob.add_decision(1, TRUE_ID, TRUE_ID)
         smooth(prob)
@@ -307,6 +307,26 @@ class TestSmooth:
         masks, counts = np.unique(sample(prob, 30_000, 1).masks[:, 0], return_counts=True)
         assert masks.tolist() == [0, 1, 3]
         assert np.allclose(counts / 30_000, 1 / 3, atol=0.02)
+
+    def test_root_moved_back_below_the_smoothed_root_is_not_smooth(self):
+        prob = Prob(2)
+        inner = prob.add_decision(1, TRUE_ID, TRUE_ID)
+        prob.root = inner
+        smooth(prob)  # wraps inner with a don't-care on variable 2
+        prob.root = inner  # which never mentions variable 2
+        parameterize(prob, WeightFunction.uniform())
+        assert not prob.smooth and not check_smoothness(prob)
+        with pytest.raises(StructureError) as err:
+            sample(prob, 1000, 1)
+        assert err.value.property_name == "smoothness"
+
+    def test_unreachable_node_keeps_smoothness_and_masks(self):
+        prob = smooth(compile_cnf(parse_dimacs(EXAMPLE_DIMACS)))
+        parameterize(prob, weights_75())
+        root, before = prob.root, sample(prob, 1000, 5).masks
+        prob.add_conj([root, TRUE_ID])
+        assert prob.root == root and prob.smooth and prob.parameterized
+        assert sample(prob, 1000, 5).masks.tobytes() == before.tobytes()
 
 
 class TestCheckers:
@@ -348,7 +368,7 @@ class TestCheckers:
 
 
 def smooth_again(prob):
-    prob.smooth = False  # so that smooth walks the diagram instead of returning at once
+    prob.smoothed_root = None  # so that smooth walks the diagram instead of returning at once
     return smooth(prob)
 
 
@@ -452,7 +472,7 @@ class TestAnnotate:
     def test_single_dont_care_has_mass_one(self):
         prob = Prob(1)
         prob.root = prob.add_decision(1, TRUE_ID, TRUE_ID)
-        prob.smooth = True
+        smooth(prob)
         parameterize(prob, WeightFunction({1: 0.3, -1: 0.7}))
         phi = annotate(prob)
         assert abs(phi[prob.root]) < 1e-12

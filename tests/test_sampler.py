@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from probdd import (
     CnfFormula,
@@ -314,6 +317,12 @@ def routing_instances(seed, count):
         yield prob
 
 
+@functools.cache
+def property_diagrams():
+    """Small parameterized routing instances and the heavy one, built once."""
+    return list(routing_instances(406, 7))
+
+
 class TestTopDownRouting:
     """sample routes each sample top-down; the bottom-up pass it replaced is the reference."""
 
@@ -360,6 +369,18 @@ class TestTopDownRouting:
             built.clear()
             sample(prob, 1, seed=seed)
             assert 0 < len(built) <= prob.num_vars  # one per coin on the sample's path
+
+    @given(st.data(), st.integers(0, 2**63 - 1), st.integers(1, 3000), st.integers(1, 4))
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_export_import_threads_and_prefixes_keep_masks(self, monkeypatch, data, seed, k, threads):
+        monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 4)  # so that threads really split
+        prob = data.draw(st.sampled_from(property_diagrams()), label="prob")
+        m = data.draw(st.integers(1, k), label="m")
+        expected = sample(prob, k, seed)
+        got = sample(import_prob(export_prob(prob)), k, seed, threads=threads)
+        assert got.masks.tobytes() == expected.masks.tobytes()
+        assert got.root_log_prob == expected.root_log_prob
+        assert sample(prob, m, seed).masks.tobytes() == expected.masks[:m].tobytes()
 
     def test_thread_pool_capped_by_cpus_and_samples(self, monkeypatch):
         _, prob = example_prob()
@@ -560,8 +581,8 @@ class TestRunIncremental:
         assert reports[0].compile_s > 0
         assert all(r.compile_s == 0 and r.smooth_s == 0 for r in reports[1:])
         for rep in reports:
-            assert rep.wall_time >= 0
-            assert rep.root_log_prob <= 1e-12
+            assert rep.param_s >= 0 and rep.sample_s >= 0
+            assert rep.samples.root_log_prob <= 1e-12
 
     def test_single_round_equals_compile_and_sample(self):
         formula = parse_dimacs(EXAMPLE_DIMACS)
