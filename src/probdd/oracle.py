@@ -9,6 +9,7 @@ variables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,13 +45,22 @@ def enumerate_models(formula: CnfFormula) -> list[Assignment]:
     return [Assignment.from_mask(int(m), formula.num_vars) for m in model_masks(formula)]
 
 
-def _model_weights_float(models: np.ndarray, num_vars: int, weights: WeightFunction) -> np.ndarray:
-    w = np.ones(len(models), dtype=np.float64)
+def _log_weight(w: float) -> float:
+    return math.log(w) if w > 0 else -math.inf
+
+
+def _model_log_weights(models: np.ndarray, num_vars: int, weights: WeightFunction) -> np.ndarray:
+    """Each model's log weight, the sum of its literals' log weights; -inf for weight zero.
+
+    Summing logs keeps weights far from 1, such as 1e300 or 1e-300 on
+    every literal, from over- or underflowing a product of doubles.
+    """
+    logw = np.zeros(len(models), dtype=np.float64)
     one = np.uint64(1)
     for var in range(1, num_vars + 1):
         bit = (models >> np.uint64(var - 1)) & one
-        w *= np.where(bit == one, weights[var], weights[-var])
-    return w
+        logw += np.where(bit == one, _log_weight(weights[var]), _log_weight(weights[-var]))
+    return logw
 
 
 def _model_weight_rational(mask: int, num_vars: int, weights: WeightFunction) -> Fraction:
@@ -79,7 +89,12 @@ class ExactDistribution:
 
 
 def exact_distribution(formula: CnfFormula, weights: WeightFunction, rational: bool = False) -> ExactDistribution:
-    """Pr[model] = product of its literal weights, normalized by their sum N."""
+    """Pr[model] = product of its literal weights, normalized by their sum N.
+
+    The float path sums log weights and divides by the heaviest model's
+    weight before adding up, so the probabilities stay accurate even
+    where N itself lies outside a double's range.
+    """
     models = model_masks(formula)
     if rational:
         fracs = [_model_weight_rational(int(m), formula.num_vars, weights) for m in models]
@@ -89,12 +104,18 @@ def exact_distribution(formula: CnfFormula, weights: WeightFunction, rational: b
         probs = np.array([float(f / normalization) for f in fracs], dtype=np.float64)
         positive = np.array([f > 0 for f in fracs], dtype=bool)
         return ExactDistribution(models[positive], probs[positive], normalization, formula.num_vars)
-    w = _model_weights_float(models, formula.num_vars, weights)
-    normalization = float(w.sum())
-    if normalization == 0:
+    logw = _model_log_weights(models, formula.num_vars, weights)
+    top = float(logw.max(initial=-math.inf))
+    if top == -math.inf:
         raise ZeroProbabilityError("every satisfying assignment has weight zero")
-    positive = w > 0
-    return ExactDistribution(models[positive], w[positive] / normalization, normalization, formula.num_vars)
+    positive = logw > -math.inf
+    scaled = np.exp(logw[positive] - top)  # the heaviest model scales to 1
+    total = float(scaled.sum())
+    try:
+        normalization = math.exp(top + math.log(total))  # 0.0 or inf where a double cannot hold it
+    except OverflowError:
+        normalization = math.inf
+    return ExactDistribution(models[positive], scaled / total, normalization, formula.num_vars)
 
 
 def satisfies_masks(formula: CnfFormula, masks: np.ndarray) -> np.ndarray:

@@ -59,6 +59,8 @@ class Prob:
     every decision in the arena has branch parameters (a scan: read it
     once per pass); smooth while root is smoothed_root, the root smooth()
     or import_prob last found smooth, so only moving root clears it.
+    sampling_plan is what sampler.sample keeps of the structure between
+    calls; smooth() drops it when it walks, as it may rewire nodes.
     """
 
     def __init__(self, num_vars: int):
@@ -68,6 +70,7 @@ class Prob:
         self.root: int = FALSE_ID
         self.num_vars = num_vars
         self.smoothed_root: int | None = None
+        self.sampling_plan: Any = None
 
     @property
     def smooth(self) -> bool:
@@ -256,6 +259,7 @@ def smooth(prob: Prob) -> Prob:
     if prob.smooth or prob.root == FALSE_ID:
         prob.smoothed_root = prob.root
         return prob
+    prob.sampling_plan = None  # the walk below may rewire reachable nodes in place
 
     # Smoothing only adds variables the other branch already covers, so
     # every node's variable set before smoothing is also its final set.
@@ -353,13 +357,14 @@ ARITHMETICS = {"log": LOG, "rational": RATIONAL}
 def annotate_branches(prob: Prob, arith: Arithmetic, order: list[int]) -> tuple[dict[int, Any], dict[int, float]]:
     """Joint probability of every reachable node and branch odds of every decision.
 
-    order is prob.topo_order(), passed in so that a caller walking the
-    diagram again computes it once. Returns (phi, p_hi). phi maps each
-    node of positive probability to its value in `arith`; the false
-    terminal and every node whose sub-diagram has probability zero are
-    absent. p_hi maps each decision node in phi to the conditional
-    probability of its hi branch, exactly 1.0 or 0.0 when the other
-    branch has probability zero.
+    order is prob.topo_order(), passed in so that a caller computes it
+    once for every pass that needs it; sample passes the order of its
+    sampling plan, which it keeps until the structure changes. Returns
+    (phi, p_hi). phi maps each node of positive probability to its value
+    in `arith`; the false terminal and every node whose sub-diagram has
+    probability zero are absent. p_hi maps each decision node in phi to
+    the conditional probability of its hi branch, exactly 1.0 or 0.0
+    when the other branch has probability zero.
     """
     if not prob.parameterized:
         raise StructureError("diagram is not parameterized", property_name="parameters")

@@ -19,7 +19,19 @@ Randomness is counter-based: every decision node owns a Philox stream
 keyed by (seed, its position in the traversal order), and sample index i
 always consumes draw i of that stream. Batches are therefore
 reproducible and independent of evaluation order, and a batch may be
-split across worker threads without changing its result.
+split across worker threads without changing its result. Each worker
+builds one generator and re-keys it for every decision it reaches, which
+gives the same bits as a fresh generator per stream. A decision reached
+by fewer than one index in _SPARSE_RATIO (500) of the worker's samples
+computes only the counter block of each of its indices, not the whole
+stream.
+
+What the pass reads of the structure is a SamplingPlan: the traversal
+order (stream ids) and, parents first, each node's kind, children and
+mask word and bit. The first sample call after the structure changed
+builds it and keeps it with the Prob. Reweighting between rounds reuses
+it; a moved root or a longer arena rebuilds it, and smooth(), the one
+pass that rewires nodes in place, drops it.
 
 The paper states the pass bottom-up: every node of positive probability
 builds the k partial samples of its sub-diagram, a conjunction ORs its
@@ -124,20 +136,94 @@ class SampleBatch:
 UpdateRule = Callable[[SampleBatch, WeightFunction], WeightFunction]
 
 
-def _node_uniforms(seed: int, stream: int, start: int, stop: int) -> np.ndarray:
-    """Doubles [start, stop) of the node's dedicated counter-based stream.
+# A decision reached by fewer than one index in _SPARSE_RATIO of a pass's
+# samples re-keys the generator to each index's counter block and computes
+# that block alone, instead of the pass's whole stream. Measured (timeit,
+# 2-vCPU VM): an index costs about 4 us that way and a contiguous draw 8 ns,
+# and the two break even near one index in 500 at 10^3 to 10^6 samples.
+_SPARSE_RATIO = 500
 
-    The generator emits four 64-bit words per counter step and one double
-    consumes one word, so starting the counter at start // 4 and
-    trimming the remainder lands exactly on draw `start`.
+
+class _Coins:
+    """The decisions' counter-based streams, drawn through one re-keyed Philox.
+
+    Stream s of a seed is Philox keyed (seed mod 2**64, s), and draw j of
+    it is word j % 4 of counter block j // 4: what a freshly built
+    np.random.Philox(key=..., counter=j // 4) yields first. Setting the
+    key and counter of one generator, with its buffer empty, gives the
+    same bits without building a generator per decision. One instance
+    serves one drawing pass, so threads share none.
     """
-    key = np.array([seed & MASK64, stream], dtype=np.uint64)
-    skip, offset = divmod(start, 4)
-    bitgen = np.random.Philox(key=key, counter=skip)
-    return np.random.Generator(bitgen).random(stop - 4 * skip)[offset:]
+
+    def __init__(self, seed: int):
+        self._key = np.array([seed & MASK64, 0], dtype=np.uint64)
+        self._counter = np.zeros(4, dtype=np.uint64)
+        self._state = {"bit_generator": "Philox", "state": {"counter": self._counter, "key": self._key},
+                       "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._bitgen = np.random.Philox(0)  # its seed is never used: _seek sets the whole state
+        self._random = np.random.Generator(self._bitgen).random
+
+    def _seek(self, stream: int, block: int) -> None:
+        self._key[1] = stream
+        self._counter[0] = block
+        self._bitgen.state = self._state
+
+    def uniforms(self, stream: int, idx: np.ndarray, start: int, count: int) -> np.ndarray:
+        """Draw start + i of the stream for each i in idx, all below count."""
+        if len(idx) * _SPARSE_RATIO >= count:
+            skip, offset = divmod(start, 4)
+            self._seek(stream, skip)
+            return self._random(count + offset)[offset:][idx]
+        out = np.empty(len(idx))
+        for i, draw in enumerate((idx + start).tolist()):
+            block, word = divmod(draw, 4)
+            self._seek(stream, block)
+            out[i] = self._random(word + 1)[word]
+        return out
 
 
-def _route(prob: Prob, order: list[int], p_hi: dict[int, float], seed: int, start: int, out: np.ndarray) -> None:
+@dataclass(frozen=True)
+class SamplingPlan:
+    """What a drawing pass needs of a diagram's structure, kept with the Prob between calls.
+
+    order is prob.topo_order(), and a decision's stream id is its position
+    in it. steps lists the reachable decisions and conjunctions parents
+    first, each as (node id, stream id, children, mask word, bit): a
+    decision's children are (lo, hi) and its bit the np.uint64 it sets in
+    word; a conjunction's bit is None. root and size are the root and
+    arena length the plan was built for.
+    """
+
+    root: int
+    size: int
+    order: list[int]
+    steps: list[tuple[int, int, tuple[int, ...], int, np.uint64 | None]]
+
+
+def _plan(prob: Prob) -> SamplingPlan:
+    """prob's sampling plan, built when it has none or the root or arena length moved.
+
+    smooth(), which rewires nodes in place, drops the plan, so weight
+    updates between rounds reuse it and only structural changes rebuild it.
+    """
+    plan = prob.sampling_plan
+    if plan is not None and plan.root == prob.root and plan.size == len(prob.nodes):
+        return plan
+    order = prob.topo_order()
+    steps = []
+    for stream in range(len(order) - 1, -1, -1):  # parents before children
+        nid = order[stream]
+        node = prob.nodes[nid]
+        if node.kind == "D":
+            word, bit = divmod(node.var - 1, 64)
+            steps.append((nid, stream, (node.lo, node.hi), word, np.uint64(1 << bit)))
+        elif node.kind == "A":
+            steps.append((nid, stream, node.children, 0, None))
+    plan = prob.sampling_plan = SamplingPlan(prob.root, len(prob.nodes), order, steps)
+    return plan
+
+
+def _route(plan: SamplingPlan, p_hi: dict[int, float], seed: int, start: int, out: np.ndarray) -> None:
     """Draw samples [start, start + len(out)) top-down, setting each one's true variables in out.
 
     Each node receives the indices of the samples that reach it: the
@@ -146,26 +232,23 @@ def _route(prob: Prob, order: list[int], p_hi: dict[int, float], seed: int, star
     sets its variable's bit for the samples that take its hi branch and
     splits the rest off to its lo branch. p_hi 1.0 or 0.0 forces a
     branch without drawing, exactly as the coins u < 1.0 and u < 0.0
-    would; otherwise sample j compares draw j of the node's stream, and
-    stream i belongs to the node at position i of `order`.
+    would; otherwise sample j compares draw j of the decision's stream.
     """
-    nodes = prob.nodes
     count = len(out)
     columns = [out[:, word] for word in range(out.shape[1])]
+    coins = _Coins(seed)
     reach: dict[int, list[np.ndarray]] = {}
-    if prob.root != TRUE_ID:  # a diagram over no variables sets no bits
-        reach[prob.root] = [np.arange(count)]
-    for stream in range(len(order) - 1, -1, -1):  # parents before children
-        nid = order[stream]
+    if plan.root != TRUE_ID:  # a diagram over no variables sets no bits
+        reach[plan.root] = [np.arange(count)]
+    for nid, stream, children, word, bit in plan.steps:
         parts = reach.pop(nid, None)
         if parts is None:
             continue
         idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if len(idx) > count:  # only a conjunction mentioning no variable meets a sample twice
             idx = np.unique(idx)
-        node = nodes[nid]
-        if node.kind == "A":
-            handed = [(child, idx) for child in node.children]
+        if bit is None:
+            handed = [(child, idx) for child in children]
         else:
             p = p_hi[nid]
             if p == 1.0:
@@ -173,11 +256,11 @@ def _route(prob: Prob, order: list[int], p_hi: dict[int, float], seed: int, star
             elif p == 0.0:
                 hi_idx, lo_idx = idx[:0], idx
             else:
-                take = _node_uniforms(seed, stream, start, start + count)[idx] < p
+                take = coins.uniforms(stream, idx, start, count) < p
                 hi_idx, lo_idx = idx[take], idx[~take]
-            word, bit = divmod(node.var - 1, 64)
-            columns[word][hi_idx] |= np.uint64(1 << bit)
-            handed = [(node.hi, hi_idx), (node.lo, lo_idx)]
+            columns[word][hi_idx] |= bit
+            lo, hi = children
+            handed = [(hi, hi_idx), (lo, lo_idx)]
         for child, child_idx in handed:
             if child != TRUE_ID and len(child_idx):
                 reach.setdefault(child, []).append(child_idx)
@@ -187,9 +270,11 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
     """Draw k satisfying assignments with replacement, weighted per the parameters.
 
     Each sample is distributed with probability W(assignment) / N where N
-    is the weighted model count. The diagram is annotated once per call;
-    mode 'rational' does so in exact rational arithmetic instead of log
-    space, and the drawn bits use the same per-node streams either way.
+    is the weighted model count. The diagram is annotated once per call,
+    over the order of its sampling plan (built here when the structure
+    changed); mode 'rational' does so in exact rational arithmetic
+    instead of log space, and the drawn bits use the same per-node
+    streams either way.
     threads > 1 splits the drawing pass across worker threads, at most
     one per CPU and one per sample, without changing the result.
     """
@@ -203,19 +288,19 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
     if prob.root == FALSE_ID:
         raise ZeroProbabilityError("the diagram is unsatisfiable")
 
-    order = prob.topo_order()
-    phi, p_hi = annotate_branches(prob, arith, order)
+    plan = _plan(prob)
+    phi, p_hi = annotate_branches(prob, arith, plan.order)
     if prob.root not in phi:
         raise ZeroProbabilityError("no satisfying assignment has positive probability under these weights")
     masks = np.zeros((k, max(1, (prob.num_vars + 63) // 64)), dtype=np.uint64)
     workers = min(threads, k, os.cpu_count() or 1)
     if workers <= 1:  # in the calling thread: a pool would add its own memory
-        _route(prob, order, p_hi, seed, 0, masks)
+        _route(plan, p_hi, seed, 0, masks)
     else:
         bounds = [k * i // workers for i in range(workers + 1)]  # none empty, as workers <= k
         ranges = zip(bounds, bounds[1:])
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda r: _route(prob, order, p_hi, seed, r[0], masks[r[0] : r[1]]), ranges))
+            list(pool.map(lambda r: _route(plan, p_hi, seed, r[0], masks[r[0] : r[1]]), ranges))
     return SampleBatch(masks=masks, num_vars=prob.num_vars, seed=seed, root_log_prob=arith.log(phi[prob.root]))
 
 
@@ -254,8 +339,9 @@ class RoundReport:
     """Timing and output of one sampling round.
 
     param_s is the re-parameterization and sample_s the sampling
-    (annotation and the drawing pass); compile_s and smooth_s are nonzero
-    only in the round that built the diagram.
+    (annotation and the drawing pass, and in the first round also the
+    sampling plan, which later rounds reuse); compile_s and smooth_s are
+    nonzero only in the round that built the diagram.
     """
 
     round: int

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from probdd import choose_ordering, compile_cnf, parameterize, parse_dimacs, parse_weights, run_incremental, sample, smooth
-from probdd.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, main
+from probdd.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, _write, main
+from probdd.sampler import SampleBatch
 
 from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, mutated_exports, mutated_inputs, record_pools
 
@@ -196,6 +198,32 @@ class TestSampleCommand:
         parameterize(prob, parse_weights(EXAMPLE_WEIGHTS, formula))
         assert out.read_text() == sample(prob, 20000, 4).model_lines()
 
+    @pytest.mark.parametrize("previous", [None, "earlier output\n"])
+    def test_failed_write_leaves_no_partial_file(self, cnf_file, tmp_path, capsys, monkeypatch, previous):
+        def failing_blocks(batch):
+            yield "1 -2 3 0\n"
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(SampleBatch, "model_line_blocks", failing_blocks)
+        out = tmp_path / "models.txt"
+        if previous is not None:
+            out.write_text(previous)
+        assert main(["sample", "--cnf", cnf_file, "-k", "3", "--out", str(out)]) == EXIT_INPUT
+        assert "cannot write" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["example.cnf"] + (["models.txt"] if previous else [])
+        if previous is not None:
+            assert out.read_text() == previous
+
+    def test_write_failure_propagates_and_cleans_up(self, tmp_path):
+        def chunks():
+            yield "first block\n"
+            raise RuntimeError("formatting failed")
+
+        out = tmp_path / "out.txt"
+        with pytest.raises(RuntimeError):
+            _write(str(out), chunks())
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_out_is_input_error(self, cnf_file, tmp_path, capsys):
         code = main(["sample", "--cnf", cnf_file, "-k", "3", "--out", str(tmp_path)])
         assert code == EXIT_INPUT
@@ -349,6 +377,18 @@ class TestDistCommand:
         lines = hist.read_text().splitlines()
         assert lines[0] == "occurrences,num_unique_solutions"
         assert len(lines) >= 2
+
+    @pytest.mark.parametrize("weights", ["w {v} 1e300\n", "w {v} 1e-300\nw -{v} 1e-300\n"])
+    def test_weights_far_from_one(self, tmp_path, capsys, weights):
+        # products of three such weights leave a double's range
+        cnf, weights_path = tmp_path / "free.cnf", tmp_path / "far.w"
+        cnf.write_text("p cnf 3 0\n")
+        weights_path.write_text("".join(weights.format(v=v) for v in (1, 2, 3)))
+        code = main(["dist", "--cnf", str(cnf), "--weights", str(weights_path), "-k", "1000", "--seed", "2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK, captured.err
+        tv = float(captured.out.split("tv_distance=")[1].split()[0])
+        assert math.isfinite(tv) and tv < 0.2
 
     def test_histogram_beyond_one_mask_word(self, tmp_path, capsys):
         n = 70

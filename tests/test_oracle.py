@@ -103,6 +103,33 @@ class TestExactDistribution:
         with pytest.raises(ZeroProbabilityError):
             exact_distribution(formula, WeightFunction({1: 0.0, -1: 1.0}))
 
+    @pytest.mark.parametrize("levels", [(1e300,), (1e-300,), (1e-300, 1.0, 1e300), (0.0, 1e-200, 1e200)])
+    def test_extreme_weights_match_rational(self, levels):
+        # products of these weights leave a double's range; their logs do not
+        rng = random.Random(len(levels))
+        for _ in range(10):
+            n = rng.randint(1, 6)
+            formula = random_mixed_cnf(rng, n, rng.randint(0, n))
+            table = {}
+            for v in range(1, n + 1):
+                table[v] = rng.choice(levels)
+                table[-v] = rng.choice([w for w in levels if w or table[v]])  # never both zero
+            weights = WeightFunction(table)
+            try:
+                exact = exact_distribution(formula, weights, rational=True)
+            except ZeroProbabilityError:
+                with pytest.raises(ZeroProbabilityError):
+                    exact_distribution(formula, weights)
+                continue
+            dist = exact_distribution(formula, weights)
+            assert np.array_equal(dist.masks, exact.masks)
+            assert np.allclose(dist.probs, exact.probs, rtol=1e-12, atol=0)
+            try:
+                expected = float(exact.normalization)
+            except OverflowError:
+                expected = math.inf
+            assert dist.normalization == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
     def test_scaling_invariance_per_variable(self):
         rng = random.Random(41)
         formula = random_mixed_cnf(rng, 6, 8)

@@ -34,13 +34,14 @@ from probdd import (
 )
 from probdd.errors import StructureError, ZeroProbabilityError
 from probdd.oracle import satisfies_masks
-from probdd.prob import ARITHMETICS, FALSE_ID, LOG, TRUE_ID, annotate_branches
-from probdd.sampler import SampleBatch, _node_uniforms, round_reports_csv, round_seed
+from probdd.prob import ARITHMETICS, FALSE_ID, LOG, TRUE_ID, Prob, annotate_branches
+from probdd.sampler import _SPARSE_RATIO, SampleBatch, _Coins, round_reports_csv, round_seed
 
 from helpers import (
     EXAMPLE_DIMACS,
     EXAMPLE_WEIGHTS,
     compile_heavy_formula,
+    fresh_uniforms,
     random_mixed_cnf,
     random_weights,
     record_pools,
@@ -271,7 +272,7 @@ def reference_pass(prob, order, phi, p_hi, start, stop, seed):
             elif p_cond == 0.0:
                 vals = store[node.lo].copy()
             else:
-                take = _node_uniforms(seed, stream, start, stop) < p_cond
+                take = fresh_uniforms(seed, stream, start, stop) < p_cond
                 vals = np.where(take[:, None], store[node.hi], store[node.lo])
                 setbits = np.zeros(count, dtype=np.uint64)
                 setbits[take] = bitval
@@ -355,20 +356,27 @@ class TestTopDownRouting:
                 assert sample(prob, m, seed=17).masks.tobytes() == full[:m].tobytes()
 
     def test_unreached_nodes_build_no_generator(self, monkeypatch):
-        built = []
-        philox = np.random.Philox
+        built, keyed = [], []
+        philox, seek = np.random.Philox, _Coins._seek
 
         def counting_philox(*args, **kwargs):
             built.append(1)
             return philox(*args, **kwargs)
 
+        def counting_seek(coins, stream, block):
+            keyed.append(stream)
+            return seek(coins, stream, block)
+
         monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(_Coins, "_seek", counting_seek)
         prob = smooth(compile_cnf(compile_heavy_formula()))
         parameterize(prob, WeightFunction.uniform())
         for seed in range(20):
             built.clear()
+            keyed.clear()
             sample(prob, 1, seed=seed)
-            assert 0 < len(built) <= prob.num_vars  # one per coin on the sample's path
+            assert len(built) == 1  # one generator for the pass
+            assert 0 < len(keyed) <= prob.num_vars  # keyed once per coin on the sample's path
 
     @given(st.data(), st.integers(0, 2**63 - 1), st.integers(1, 3000), st.integers(1, 4))
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -410,6 +418,104 @@ class TestTopDownRouting:
             tracemalloc.stop()
         assert masks.tobytes() == reference_pass(prob, order, phi, p_hi, 0, k, 8).tobytes()
         assert peak < 2**20  # copying the indices 2**14 times would take 8 MB
+
+
+class TestCoinStreams:
+    """The router's coins against a Philox stream built afresh for each call (helpers.fresh_uniforms)."""
+
+    @pytest.mark.parametrize("seed", [0, 2**63 + 1, 2**64, 2**64 + 2**40 + 7])
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 4097, 2**40 + 2])
+    def test_dense_and_sparse_draws_match_fresh_philox(self, seed, start):
+        count, stream = 6000, 11
+        expected = fresh_uniforms(seed, stream, start, start + count)
+        rng = np.random.default_rng(start % 997)
+        coins = _Coins(seed)
+        index_sets = [np.array([0]), np.array([5, 4, 7, 6, count - 1]), np.array([count - 1, 2, 3, 1])]
+        index_sets += [rng.permutation(count)[:n] for n in (1, 11, 12, 13, 600, count)]
+        sparse = 0
+        for idx in index_sets:
+            sparse += len(idx) * _SPARSE_RATIO < count
+            assert coins.uniforms(stream, idx, start, count).tobytes() == expected[idx].tobytes()
+        assert 0 < sparse < len(index_sets)
+
+    def test_routed_coins_match_fresh_philox(self, monkeypatch):
+        monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 4)  # so that threads really split
+        uniforms = _Coins.uniforms
+        calls = []
+
+        def recording(coins, stream, idx, start, count):
+            got = uniforms(coins, stream, idx, start, count)
+            calls.append((stream, idx, start, count, got))
+            return got
+
+        monkeypatch.setattr(_Coins, "uniforms", recording)
+        formula = compile_heavy_formula()
+        prob = smooth(compile_cnf(formula))
+        parameterize(prob, random_weights(random.Random(7), formula.num_vars))
+        k = 20003  # splits start at every residue mod 4 across 2-4 threads
+        seen = {"sparse": set(), "dense": set(), "residues": set()}
+        for seed in (12345, 2**64 + 99, 2**70 + 5):
+            expected = sample(prob, k, seed).masks
+            for threads in (1, 2, 3, 4):
+                calls.clear()
+                assert sample(prob, k, seed, threads=threads).masks.tobytes() == expected.tobytes()
+                for stream, idx, start, count, got in calls:
+                    assert got.tobytes() == fresh_uniforms(seed, stream, start, start + count)[idx].tobytes()
+                    kind = "sparse" if len(idx) * _SPARSE_RATIO < count else "dense"
+                    seen[kind].add(threads)
+                    seen["residues"].add(start % 4)
+        assert seen["sparse"] == seen["dense"] == {1, 2, 3, 4}
+        assert seen["residues"] == {0, 1, 2, 3}
+
+
+class TestSamplingPlan:
+    """sample keeps a plan of the structure, reuses it while the structure holds and rebuilds it after."""
+
+    def test_repeated_samples_walk_once(self, monkeypatch):
+        _, prob = example_prob()
+        calls = []
+        topo_order = Prob.topo_order
+        monkeypatch.setattr(Prob, "topo_order", lambda diagram: calls.append(diagram) or topo_order(diagram))
+        for seed in range(5):
+            sample(prob, 100, seed)
+        update_weights(prob, WeightFunction.uniform())
+        sample(prob, 100, 5, mode="rational", threads=2)
+        assert len(calls) == 1
+
+    def test_structure_changes_rebuild_the_plan(self):
+        def assert_fresh(prob, seed):
+            batch = sample(prob, 3000, seed)
+            fresh = sample(import_prob(export_prob(prob)), 3000, seed)
+            assert batch.masks.tobytes() == fresh.masks.tobytes()
+            return batch
+
+        prob = Prob(3)
+        core = prob.add_decision(1, prob.add_decision(3, FALSE_ID, TRUE_ID), TRUE_ID)
+        prob.root = core
+        smooth(prob)  # wraps the root to add variable 2
+        assert prob.sampling_plan is None  # smoothing leaves the plan to the first sample
+        parameterize(prob, WeightFunction({1: 0.3, -1: 0.7, 2: 0.6, -2: 0.4, 3: 0.8, -3: 0.2}))
+        wrapped = prob.root
+        first = assert_fresh(prob, 1)
+        assert prob.sampling_plan is not None
+
+        # a decision added, the root moved onto it and smoothed: x2 and the core
+        prob.root = prob.add_decision(2, FALSE_ID, core)
+        smooth(prob)
+        parameterize(prob, WeightFunction({1: 0.3, -1: 0.7, 2: 0.6, -2: 0.4, 3: 0.8, -3: 0.2}))
+        moved = assert_fresh(prob, 1)
+        assert (moved.masks[:, 0] & 2).all() and not np.array_equal(moved.masks, first.masks)
+
+        # the root moved back to the first smoothed root and smoothed again
+        prob.root = wrapped
+        smooth(prob)
+        assert assert_fresh(prob, 1).masks.tobytes() == first.masks.tobytes()
+
+        # new weights keep the structure, and the plan with it
+        plan = prob.sampling_plan
+        update_weights(prob, WeightFunction({1: 5.0, -1: 0.1, 2: 1.0, -2: 3.0, 3: 0.5, -3: 0.5}))
+        reweighted = assert_fresh(prob, 1)
+        assert prob.sampling_plan is plan and not np.array_equal(reweighted.masks, first.masks)
 
 
 def reference_model_lines(batch: SampleBatch) -> str:
