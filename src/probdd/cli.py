@@ -68,30 +68,24 @@ def _read(path: str) -> str:
 def _write(path: str | None, chunks: Iterable[str]) -> None:
     """Write the strings to path, or to stdout when path is None, one at a time.
 
-    A regular file is written under a temporary name in its directory and
-    renamed over path only once every string is in, so a failure part way
-    leaves no partial file and any earlier one intact. A path that exists
-    and is not a regular file, such as a device or a pipe, is written in
-    place.
+    If a string cannot be made or written, a regular file that path names
+    itself is removed rather than left truncated; a device, a pipe or a
+    symbolic link such as /dev/stdout is only written to.
     """
     if path is None:
         sys.stdout.writelines(chunks)
         return
-    target = os.path.realpath(path)
-    directory, name = os.path.split(target)
-    in_place = os.path.exists(target) and not os.path.isfile(target)
-    part = target if in_place else os.path.join(directory, f".{name}.{os.getpid()}.part")
+    removable = not os.path.islink(path) and (os.path.isfile(path) or not os.path.exists(path))
     try:
-        with open(part, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
-        if part != target:
-            os.replace(part, target)
-    except OSError as exc:
-        raise ParseError(f"cannot write {path}: {exc}") from exc
-    finally:
-        if part != target:
-            with contextlib.suppress(OSError):  # after the rename there is nothing to remove
-                os.remove(part)
+    except BaseException as exc:
+        if removable:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise ParseError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def _resolve_seed(args) -> int:

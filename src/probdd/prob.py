@@ -60,7 +60,10 @@ class Prob:
     once per pass); smooth while root is smoothed_root, the root smooth()
     or import_prob last found smooth, so only moving root clears it.
     sampling_plan is what sampler.sample keeps of the structure between
-    calls; smooth() drops it when it walks, as it may rewire nodes.
+    calls for the root it was built for; smooth() drops it when it walks,
+    as it may rewire nodes. It is all of the structure sample reads, so a
+    later sample of the same root does not see edges rewired by hand:
+    set sampling_plan to None after such an edit.
     """
 
     def __init__(self, num_vars: int):
@@ -137,6 +140,10 @@ class Prob:
                 if child not in emitted:
                     stack.append((child, False))
         return order
+
+    def topo_structure(self) -> list[tuple[int, str, tuple[int, ...]]]:
+        """topo_order() with each node's kind and children: what annotate_branches reads of the structure."""
+        return [(nid, self.nodes[nid].kind, self.children_of(nid)) for nid in self.topo_order()]
 
     @property
     def node_count(self) -> int:
@@ -354,17 +361,21 @@ RATIONAL = Arithmetic(Fraction(1), Fraction, operator.mul, operator.add, lambda 
 ARITHMETICS = {"log": LOG, "rational": RATIONAL}
 
 
-def annotate_branches(prob: Prob, arith: Arithmetic, order: list[int]) -> tuple[dict[int, Any], dict[int, float]]:
+def annotate_branches(
+    prob: Prob, arith: Arithmetic, structure: list[tuple[int, str, tuple[int, ...]]]
+) -> tuple[dict[int, Any], dict[int, float]]:
     """Joint probability of every reachable node and branch odds of every decision.
 
-    order is prob.topo_order(), passed in so that a caller computes it
-    once for every pass that needs it; sample passes the order of its
-    sampling plan, which it keeps until the structure changes. Returns
-    (phi, p_hi). phi maps each node of positive probability to its value
-    in `arith`; the false terminal and every node whose sub-diagram has
-    probability zero are absent. p_hi maps each decision node in phi to
-    the conditional probability of its hi branch, exactly 1.0 or 0.0
-    when the other branch has probability zero.
+    structure is prob.topo_structure(): every reachable node, children
+    first, with its kind and children (lo, hi for a decision). Only the
+    branch parameters are read from prob.nodes, so a caller that keeps
+    the structure computes it once for every pass that needs it; sample
+    passes its sampling plan's, which its drawing pass follows too.
+    Returns (phi, p_hi). phi maps each node of positive probability to
+    its value in `arith`; the false terminal and every node whose
+    sub-diagram has probability zero are absent. p_hi maps each decision
+    node in phi to the conditional probability of its hi branch, exactly
+    1.0 or 0.0 when the other branch has probability zero.
     """
     if not prob.parameterized:
         raise StructureError("diagram is not parameterized", property_name="parameters")
@@ -372,21 +383,22 @@ def annotate_branches(prob: Prob, arith: Arithmetic, order: list[int]) -> tuple[
     nodes = prob.nodes
     phi: dict[int, Any] = {}
     p_hi: dict[int, float] = {}
-    for nid in order:
-        node = nodes[nid]
-        if node.kind == "T":
+    for nid, kind, children in structure:
+        if kind == "T":
             phi[nid] = one
-        elif node.kind == "A":
+        elif kind == "A":
             value = one
-            for child in node.children:
+            for child in children:
                 if child not in phi:
                     break
                 value = mul(value, phi[child])
             else:
                 phi[nid] = value
-        elif node.kind == "D":
-            lo = mul(lift(node.theta_lo), phi[node.lo]) if node.theta_lo > 0 and node.lo in phi else None
-            hi = mul(lift(node.theta_hi), phi[node.hi]) if node.theta_hi > 0 and node.hi in phi else None
+        elif kind == "D":
+            node = nodes[nid]
+            lo_id, hi_id = children
+            lo = mul(lift(node.theta_lo), phi[lo_id]) if node.theta_lo > 0 and lo_id in phi else None
+            hi = mul(lift(node.theta_hi), phi[hi_id]) if node.theta_hi > 0 and hi_id in phi else None
             if hi is None:
                 if lo is not None:
                     phi[nid], p_hi[nid] = lo, 0.0
@@ -406,12 +418,12 @@ def annotate(prob: Prob) -> dict[int, float]:
     probability mass of satisfying assignments; with the normalized
     branch parameters it always lies in [0, 1].
     """
-    return annotate_branches(prob, LOG, prob.topo_order())[0]
+    return annotate_branches(prob, LOG, prob.topo_structure())[0]
 
 
 def annotate_rational(prob: Prob) -> dict[int, Fraction]:
     """Exact-rational twin of annotate, over the same branch parameters."""
-    return annotate_branches(prob, RATIONAL, prob.topo_order())[0]
+    return annotate_branches(prob, RATIONAL, prob.topo_structure())[0]
 
 
 def weighted_model_count(prob: Prob, weights: WeightFunction, mode: str = "log"):

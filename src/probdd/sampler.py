@@ -26,12 +26,14 @@ by fewer than one index in _SPARSE_RATIO (500) of the worker's samples
 computes only the counter block of each of its indices, not the whole
 stream.
 
-What the pass reads of the structure is a SamplingPlan: the traversal
-order (stream ids) and, parents first, each node's kind, children and
-mask word and bit. The first sample call after the structure changed
-builds it and keeps it with the Prob. Reweighting between rounds reuses
-it; a moved root or a longer arena rebuilds it, and smooth(), the one
-pass that rewires nodes in place, drops it.
+All that sample reads of the structure is a SamplingPlan: the
+traversal order with each node's kind and children, which annotation
+follows (stream id = position), and, parents first, each decision's
+and conjunction's children and mask word and bit, which the drawing
+pass follows. The first sample call for a root builds it and keeps it
+with the Prob. Reweighting between rounds reuses it; a moved root
+rebuilds it, and smooth(), the one pass that rewires nodes in place,
+drops it.
 
 The paper states the pass bottom-up: every node of positive probability
 builds the k partial samples of its sub-diagram, a conjunction ORs its
@@ -184,42 +186,42 @@ class _Coins:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """What a drawing pass needs of a diagram's structure, kept with the Prob between calls.
+    """What sample needs of a diagram's structure, kept with the Prob between calls.
 
-    order is prob.topo_order(), and a decision's stream id is its position
-    in it. steps lists the reachable decisions and conjunctions parents
-    first, each as (node id, stream id, children, mask word, bit): a
-    decision's children are (lo, hi) and its bit the np.uint64 it sets in
-    word; a conjunction's bit is None. root and size are the root and
-    arena length the plan was built for.
+    structure is prob.topo_structure(), which annotation reads, and a
+    decision's stream id is its position in it. steps lists the same
+    reachable decisions and conjunctions parents first for the drawing
+    pass, each as (node id, stream id, children, mask word, bit): a
+    decision's children are (lo, hi) and its bit the np.uint64 it sets
+    in word; a conjunction's bit is None. root is the root the plan was
+    built for.
     """
 
     root: int
-    size: int
-    order: list[int]
+    structure: list[tuple[int, str, tuple[int, ...]]]
     steps: list[tuple[int, int, tuple[int, ...], int, np.uint64 | None]]
 
 
 def _plan(prob: Prob) -> SamplingPlan:
-    """prob's sampling plan, built when it has none or the root or arena length moved.
+    """prob's sampling plan, built when it has none or the root moved.
 
-    smooth(), which rewires nodes in place, drops the plan, so weight
-    updates between rounds reuse it and only structural changes rebuild it.
+    The arena only appends, so what a root reaches holds until smooth(),
+    which rewires nodes in place, drops the plan; weight updates between
+    rounds reuse it.
     """
     plan = prob.sampling_plan
-    if plan is not None and plan.root == prob.root and plan.size == len(prob.nodes):
+    if plan is not None and plan.root == prob.root:
         return plan
-    order = prob.topo_order()
+    structure = prob.topo_structure()
     steps = []
-    for stream in range(len(order) - 1, -1, -1):  # parents before children
-        nid = order[stream]
-        node = prob.nodes[nid]
-        if node.kind == "D":
-            word, bit = divmod(node.var - 1, 64)
-            steps.append((nid, stream, (node.lo, node.hi), word, np.uint64(1 << bit)))
-        elif node.kind == "A":
-            steps.append((nid, stream, node.children, 0, None))
-    plan = prob.sampling_plan = SamplingPlan(prob.root, len(prob.nodes), order, steps)
+    for stream in range(len(structure) - 1, -1, -1):  # parents before children
+        nid, kind, children = structure[stream]
+        if kind == "D":
+            word, bit = divmod(prob.nodes[nid].var - 1, 64)
+            steps.append((nid, stream, children, word, np.uint64(1 << bit)))
+        elif kind == "A":
+            steps.append((nid, stream, children, 0, None))
+    plan = prob.sampling_plan = SamplingPlan(prob.root, structure, steps)
     return plan
 
 
@@ -289,7 +291,7 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
         raise ZeroProbabilityError("the diagram is unsatisfiable")
 
     plan = _plan(prob)
-    phi, p_hi = annotate_branches(prob, arith, plan.order)
+    phi, p_hi = annotate_branches(prob, arith, plan.structure)
     if prob.root not in phi:
         raise ZeroProbabilityError("no satisfying assignment has positive probability under these weights")
     masks = np.zeros((k, max(1, (prob.num_vars + 63) // 64)), dtype=np.uint64)

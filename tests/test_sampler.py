@@ -206,7 +206,7 @@ class TestDynamicAnnotation:
 
     def check(self, prob, mode, reference_phi, edge, cond):
         arith = ARITHMETICS[mode]
-        phi, p_hi = annotate_branches(prob, arith, prob.topo_order())
+        phi, p_hi = annotate_branches(prob, arith, prob.topo_structure())
         assert phi == reference_phi  # bit-for-bit
         if prob.root in phi:
             assert sample(prob, 4, seed=1, mode=mode).root_log_prob == arith.log(phi[prob.root])
@@ -313,7 +313,7 @@ def routing_instances(seed, count):
             continue
         while True:
             parameterize(prob, extreme_weights(rng, prob.num_vars))
-            if prob.root in annotate_branches(prob, LOG, prob.topo_order())[0]:
+            if prob.root in annotate_branches(prob, LOG, prob.topo_structure())[0]:
                 break
         yield prob
 
@@ -332,7 +332,7 @@ class TestTopDownRouting:
         seen = {"words": set(), "forced": 0, "shared": 0}
         for prob in routing_instances(404, 40):
             order = prob.topo_order()
-            phi, p_hi = annotate_branches(prob, LOG, order)
+            phi, p_hi = annotate_branches(prob, LOG, prob.topo_structure())
             parents = {}
             for nid in phi:
                 for child in prob.children_of(nid):
@@ -409,7 +409,7 @@ class TestTopDownRouting:
         lines += [f"{depth + 3} A 2 2 {depth + 2}", f"root {depth + 3}"]
         prob = import_prob("\n".join(lines) + "\n")
         order = prob.topo_order()
-        phi, p_hi = annotate_branches(prob, LOG, order)
+        phi, p_hi = annotate_branches(prob, LOG, prob.topo_structure())
         tracemalloc.start()
         try:
             masks = sample(prob, k, seed=8).masks
@@ -516,6 +516,27 @@ class TestSamplingPlan:
         update_weights(prob, WeightFunction({1: 5.0, -1: 0.1, 2: 1.0, -2: 3.0, 3: 0.5, -3: 0.5}))
         reweighted = assert_fresh(prob, 1)
         assert prob.sampling_plan is plan and not np.array_equal(reweighted.masks, first.masks)
+
+    def test_the_plan_is_all_of_the_structure_sample_reads(self):
+        formula = parse_dimacs("p cnf 2 2\n1 2 0\n-1 -2 0\n")  # exactly one of x1, x2
+        prob = smooth(compile_cnf(formula, choose_ordering(formula, "natural")))
+        parameterize(prob, WeightFunction({1: 1.0, -1: 1.0, 2: 9.0, -2: 1.0}))
+        first = sample(prob, 2000, 3)
+        root = prob.nodes[prob.root]
+        root.lo, root.hi = root.hi, root.lo  # rewired by hand: now x1 == x2
+        assert sample(prob, 2000, 3).masks.tobytes() == first.masks.tobytes()
+
+        prob.sampling_plan = None
+        rewired = sample(prob, 2000, 3).masks[:, 0]
+        assert rewired.tobytes() == sample(import_prob(export_prob(prob)), 2000, 3).masks.tobytes()
+        assert ((rewired & 1) == (rewired >> 1 & 1)).all()
+
+        prob.nodes[root.lo].lo = prob.root  # a back edge, seen once the plan is dropped
+        assert sample(prob, 2000, 3).masks[:, 0].tobytes() == rewired.tobytes()
+        prob.sampling_plan = None
+        with pytest.raises(StructureError) as err:
+            sample(prob, 3, 1)
+        assert err.value.node_id == prob.root
 
 
 def reference_model_lines(batch: SampleBatch) -> str:
