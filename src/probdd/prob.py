@@ -35,6 +35,8 @@ from .errors import GuardError, StructureError, WeightError
 FALSE_ID = 0
 TRUE_ID = 1
 NEG_INF = float("-inf")
+# Prob.topo_structure()'s entries: (node id, kind, children, decision variable or 0).
+Structure = list[tuple[int, str, tuple[int, ...], int]]
 
 
 @dataclass(slots=True)
@@ -59,11 +61,12 @@ class Prob:
     every decision in the arena has branch parameters (a scan: read it
     once per pass); smooth while root is smoothed_root, the root smooth()
     or import_prob last found smooth, so only moving root clears it.
-    sampling_plan is what sampler.sample keeps of the structure between
-    calls for the root it was built for; smooth() drops it when it walks,
-    as it may rewire nodes. It is all of the structure sample reads, so a
-    later sample of the same root does not see edges rewired by hand:
-    set sampling_plan to None after such an edit.
+    sampling_plan is the one list sampler.sample keeps of the structure:
+    topo_structure() as its first call found it, kept until smooth()
+    walks the diagram, which a moved root needs before it can be sampled.
+    It is all of the structure sample reads, so a later sample does not
+    see edges rewired by hand: set sampling_plan to None after such an
+    edit.
     """
 
     def __init__(self, num_vars: int):
@@ -73,18 +76,20 @@ class Prob:
         self.root: int = FALSE_ID
         self.num_vars = num_vars
         self.smoothed_root: int | None = None
-        self.sampling_plan: Any = None
+        self.sampling_plan: Structure | None = None
 
     @property
     def smooth(self) -> bool:
         return self.smoothed_root == self.root
 
     @property
-    def parameterized(self) -> bool:
-        return all(node.theta_lo is not None for node in self.nodes if node.kind == "D")
+    def unparameterized(self) -> int | None:
+        """The first decision in the arena without branch parameters, or None."""
+        return next((nid for nid, node in enumerate(self.nodes) if node.theta_lo is None and node.kind == "D"), None)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
+    @property
+    def parameterized(self) -> bool:
+        return self.unparameterized is None
 
     def add_decision(self, var: int, lo: int, hi: int) -> int:
         if not 1 <= var <= self.num_vars:
@@ -141,9 +146,14 @@ class Prob:
                     stack.append((child, False))
         return order
 
-    def topo_structure(self) -> list[tuple[int, str, tuple[int, ...]]]:
-        """topo_order() with each node's kind and children: what annotate_branches reads of the structure."""
-        return [(nid, self.nodes[nid].kind, self.children_of(nid)) for nid in self.topo_order()]
+    def topo_structure(self) -> Structure:
+        """topo_order() with each node's kind, children and variable (0 unless a decision).
+
+        This is all of the structure sampler.sample reads, and the list it
+        keeps as sampling_plan: annotate_branches reads it forwards,
+        children first, and the drawing pass backwards.
+        """
+        return [(nid, self.nodes[nid].kind, self.children_of(nid), self.nodes[nid].var) for nid in self.topo_order()]
 
     @property
     def node_count(self) -> int:
@@ -266,7 +276,9 @@ def smooth(prob: Prob) -> Prob:
     if prob.smooth or prob.root == FALSE_ID:
         prob.smoothed_root = prob.root
         return prob
-    prob.sampling_plan = None  # the walk below may rewire reachable nodes in place
+    # The one place the sampling plan goes stale: the walk below may rewire
+    # reachable nodes in place, and a moved root must come through here.
+    prob.sampling_plan = None
 
     # Smoothing only adds variables the other branch already covers, so
     # every node's variable set before smoothing is also its final set.
@@ -362,28 +374,31 @@ ARITHMETICS = {"log": LOG, "rational": RATIONAL}
 
 
 def annotate_branches(
-    prob: Prob, arith: Arithmetic, structure: list[tuple[int, str, tuple[int, ...]]]
+    prob: Prob, arith: Arithmetic, structure: Structure
 ) -> tuple[dict[int, Any], dict[int, float]]:
     """Joint probability of every reachable node and branch odds of every decision.
 
     structure is prob.topo_structure(): every reachable node, children
-    first, with its kind and children (lo, hi for a decision). Only the
-    branch parameters are read from prob.nodes, so a caller that keeps
-    the structure computes it once for every pass that needs it; sample
-    passes its sampling plan's, which its drawing pass follows too.
+    first, with its kind, children (lo, hi for a decision) and variable,
+    read forwards. Only the branch parameters are read from prob.nodes,
+    so a caller that keeps the list computes it once for every pass that
+    needs it; sample passes its sampling plan, the same list its drawing
+    pass reads backwards.
     Returns (phi, p_hi). phi maps each node of positive probability to
     its value in `arith`; the false terminal and every node whose
     sub-diagram has probability zero are absent. p_hi maps each decision
     node in phi to the conditional probability of its hi branch, exactly
     1.0 or 0.0 when the other branch has probability zero.
     """
-    if not prob.parameterized:
-        raise StructureError("diagram is not parameterized", property_name="parameters")
+    unset = prob.unparameterized
+    if unset is not None:
+        raise StructureError(f"diagram is not parameterized: decision node {unset} has no branch parameters",
+                             property_name="parameters", node_id=unset)
     one, lift, mul, add, ratio = arith.one, arith.lift, arith.mul, arith.add, arith.ratio
     nodes = prob.nodes
     phi: dict[int, Any] = {}
     p_hi: dict[int, float] = {}
-    for nid, kind, children in structure:
+    for nid, kind, children, _ in structure:
         if kind == "T":
             phi[nid] = one
         elif kind == "A":

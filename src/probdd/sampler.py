@@ -26,14 +26,13 @@ by fewer than one index in _SPARSE_RATIO (500) of the worker's samples
 computes only the counter block of each of its indices, not the whole
 stream.
 
-All that sample reads of the structure is a SamplingPlan: the
-traversal order with each node's kind and children, which annotation
-follows (stream id = position), and, parents first, each decision's
-and conjunction's children and mask word and bit, which the drawing
-pass follows. The first sample call for a root builds it and keeps it
-with the Prob. Reweighting between rounds reuses it; a moved root
-rebuilds it, and smooth(), the one pass that rewires nodes in place,
-drops it.
+All that sample reads of the structure is one list, its sampling plan:
+Prob.topo_structure(), each reachable node with its kind, children and
+variable, children first. Annotation reads it forwards and the drawing
+pass backwards, parents first; a decision's stream id is its position.
+The first sample call stores it as prob.sampling_plan, and reweighting
+between rounds reuses it. Only smooth() drops it, when it walks the
+diagram, and a moved root cannot be sampled before smooth() walks it.
 
 The paper states the pass bottom-up: every node of positive probability
 builds the k partial samples of its sub-diagram, a conjunction ORs its
@@ -59,7 +58,7 @@ import numpy as np
 from .cnf import Assignment, CnfFormula, WeightFunction
 from .compiler import VariableOrdering, compile_cnf, DEFAULT_MAX_VARS
 from .errors import StructureError, ZeroProbabilityError
-from .prob import ARITHMETICS, FALSE_ID, TRUE_ID, Prob, annotate_branches, parameterize, smooth
+from .prob import ARITHMETICS, FALSE_ID, TRUE_ID, Prob, Structure, annotate_branches, parameterize, smooth
 
 MASK64 = (1 << 64) - 1
 # Samples unpacked and formatted at a time by SampleBatch; bounds the temporaries.
@@ -75,7 +74,6 @@ class SampleBatch:
 
     masks: np.ndarray
     num_vars: int
-    seed: int
     root_log_prob: float = 0.0
 
     def __len__(self) -> int:
@@ -184,72 +182,39 @@ class _Coins:
         return out
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    """What sample needs of a diagram's structure, kept with the Prob between calls.
-
-    structure is prob.topo_structure(), which annotation reads, and a
-    decision's stream id is its position in it. steps lists the same
-    reachable decisions and conjunctions parents first for the drawing
-    pass, each as (node id, stream id, children, mask word, bit): a
-    decision's children are (lo, hi) and its bit the np.uint64 it sets
-    in word; a conjunction's bit is None. root is the root the plan was
-    built for.
-    """
-
-    root: int
-    structure: list[tuple[int, str, tuple[int, ...]]]
-    steps: list[tuple[int, int, tuple[int, ...], int, np.uint64 | None]]
+# A decision on variable v sets bit _BITS[(v - 1) % 64] of mask word (v - 1) // 64.
+_BITS = [np.uint64(1 << bit) for bit in range(64)]
 
 
-def _plan(prob: Prob) -> SamplingPlan:
-    """prob's sampling plan, built when it has none or the root moved.
-
-    The arena only appends, so what a root reaches holds until smooth(),
-    which rewires nodes in place, drops the plan; weight updates between
-    rounds reuse it.
-    """
-    plan = prob.sampling_plan
-    if plan is not None and plan.root == prob.root:
-        return plan
-    structure = prob.topo_structure()
-    steps = []
-    for stream in range(len(structure) - 1, -1, -1):  # parents before children
-        nid, kind, children = structure[stream]
-        if kind == "D":
-            word, bit = divmod(prob.nodes[nid].var - 1, 64)
-            steps.append((nid, stream, children, word, np.uint64(1 << bit)))
-        elif kind == "A":
-            steps.append((nid, stream, children, 0, None))
-    plan = prob.sampling_plan = SamplingPlan(prob.root, structure, steps)
-    return plan
-
-
-def _route(plan: SamplingPlan, p_hi: dict[int, float], seed: int, start: int, out: np.ndarray) -> None:
+def _route(plan: Structure, p_hi: dict[int, float], seed: int, start: int, out: np.ndarray) -> None:
     """Draw samples [start, start + len(out)) top-down, setting each one's true variables in out.
 
-    Each node receives the indices of the samples that reach it: the
-    root all of them, a conjunction hands its indices to every child,
-    and a node with several parents joins what they hand it. A decision
-    sets its variable's bit for the samples that take its hi branch and
-    splits the rest off to its lo branch. p_hi 1.0 or 0.0 forces a
-    branch without drawing, exactly as the coins u < 1.0 and u < 0.0
-    would; otherwise sample j compares draw j of the decision's stream.
+    plan is prob.topo_structure(), read backwards so parents come before
+    their children; a decision's stream id is its position in it. Each
+    node receives the indices of the samples that reach it: the root all
+    of them, a conjunction hands its indices to every child, and a node
+    with several parents joins what they hand it. A decision sets its
+    variable's bit for the samples that take its hi branch and splits
+    the rest off to its lo branch. p_hi 1.0 or 0.0 forces a branch
+    without drawing, exactly as the coins u < 1.0 and u < 0.0 would;
+    otherwise sample j compares draw j of the decision's stream.
     """
     count = len(out)
     columns = [out[:, word] for word in range(out.shape[1])]
     coins = _Coins(seed)
+    root = plan[-1][0]
     reach: dict[int, list[np.ndarray]] = {}
-    if plan.root != TRUE_ID:  # a diagram over no variables sets no bits
-        reach[plan.root] = [np.arange(count)]
-    for nid, stream, children, word, bit in plan.steps:
-        parts = reach.pop(nid, None)
-        if parts is None:
+    if root != TRUE_ID:  # a diagram over no variables sets no bits
+        reach[root] = [np.arange(count)]
+    for stream in range(len(plan) - 1, -1, -1):
+        parts = reach.pop(plan[stream][0], None)
+        if parts is None:  # most nodes at small k: unpack only the reached
             continue
+        nid, kind, children, var = plan[stream]
         idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if len(idx) > count:  # only a conjunction mentioning no variable meets a sample twice
             idx = np.unique(idx)
-        if bit is None:
+        if kind == "A":
             handed = [(child, idx) for child in children]
         else:
             p = p_hi[nid]
@@ -260,7 +225,8 @@ def _route(plan: SamplingPlan, p_hi: dict[int, float], seed: int, start: int, ou
             else:
                 take = coins.uniforms(stream, idx, start, count) < p
                 hi_idx, lo_idx = idx[take], idx[~take]
-            columns[word][hi_idx] |= bit
+            word, bit = divmod(var - 1, 64)
+            columns[word][hi_idx] |= _BITS[bit]
             lo, hi = children
             handed = [(hi, hi_idx), (lo, lo_idx)]
         for child, child_idx in handed:
@@ -273,10 +239,9 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
 
     Each sample is distributed with probability W(assignment) / N where N
     is the weighted model count. The diagram is annotated once per call,
-    over the order of its sampling plan (built here when the structure
-    changed); mode 'rational' does so in exact rational arithmetic
-    instead of log space, and the drawn bits use the same per-node
-    streams either way.
+    over its sampling plan (stored here when prob has none); mode
+    'rational' does so in exact rational arithmetic instead of log space,
+    and the drawn bits use the same per-node streams either way.
     threads > 1 splits the drawing pass across worker threads, at most
     one per CPU and one per sample, without changing the result.
     """
@@ -290,8 +255,10 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
     if prob.root == FALSE_ID:
         raise ZeroProbabilityError("the diagram is unsatisfiable")
 
-    plan = _plan(prob)
-    phi, p_hi = annotate_branches(prob, arith, plan.structure)
+    plan = prob.sampling_plan
+    if plan is None:
+        plan = prob.sampling_plan = prob.topo_structure()
+    phi, p_hi = annotate_branches(prob, arith, plan)
     if prob.root not in phi:
         raise ZeroProbabilityError("no satisfying assignment has positive probability under these weights")
     masks = np.zeros((k, max(1, (prob.num_vars + 63) // 64)), dtype=np.uint64)
@@ -303,7 +270,7 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
         ranges = zip(bounds, bounds[1:])
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda r: _route(plan, p_hi, seed, r[0], masks[r[0] : r[1]]), ranges))
-    return SampleBatch(masks=masks, num_vars=prob.num_vars, seed=seed, root_log_prob=arith.log(phi[prob.root]))
+    return SampleBatch(masks=masks, num_vars=prob.num_vars, root_log_prob=arith.log(phi[prob.root]))
 
 
 def update_weights(prob: Prob, new_weights: WeightFunction) -> None:
@@ -342,8 +309,9 @@ class RoundReport:
 
     param_s is the re-parameterization and sample_s the sampling
     (annotation and the drawing pass, and in the first round also the
-    sampling plan, which later rounds reuse); compile_s and smooth_s are
-    nonzero only in the round that built the diagram.
+    sampling plan's list, which later rounds reuse until smooth() walks
+    the diagram); compile_s and smooth_s are nonzero only in the round
+    that built the diagram.
     """
 
     round: int

@@ -29,7 +29,7 @@ from helpers import EXAMPLE_DIMACS, EXAMPLE_MODELS, EXAMPLE_WEIGHTS, random_mixe
 
 
 def batch_from_masks(masks, num_vars):
-    return SampleBatch(masks=np.array(masks, dtype=np.uint64)[:, None], num_vars=num_vars, seed=0)
+    return SampleBatch(masks=np.array(masks, dtype=np.uint64)[:, None], num_vars=num_vars)
 
 
 class TestEnumerateModels:

@@ -500,6 +500,7 @@ class TestAnnotate:
             with pytest.raises(StructureError) as err:
                 draw(prob)
             assert err.value.property_name == "parameters"
+            assert err.value.node_id == prob.root
         text = export_prob(prob)
         assert "None" not in text
         back = import_prob(text)

@@ -517,6 +517,21 @@ class TestSamplingPlan:
         reweighted = assert_fresh(prob, 1)
         assert prob.sampling_plan is plan and not np.array_equal(reweighted.masks, first.masks)
 
+        # the root moved to the false terminal and smoothed, then back and smoothed
+        prob.root = FALSE_ID
+        smooth(prob)
+        with pytest.raises(ZeroProbabilityError):
+            sample(prob, 3, 1)
+        prob.root = wrapped
+        smooth(prob)
+        assert assert_fresh(prob, 1).masks.tobytes() == reweighted.masks.tobytes()
+
+        # a root moved by hand, without smoothing, is not sampled
+        prob.root = core
+        with pytest.raises(StructureError) as err:
+            sample(prob, 3, 1)
+        assert err.value.property_name == "smoothness"
+
     def test_the_plan_is_all_of_the_structure_sample_reads(self):
         formula = parse_dimacs("p cnf 2 2\n1 2 0\n-1 -2 0\n")  # exactly one of x1, x2
         prob = smooth(compile_cnf(formula, choose_ordering(formula, "natural")))
@@ -594,11 +609,11 @@ class TestBatchFormatting:
         pool = rng.integers(0, 2**64, size=(64, words), dtype=np.uint64)
         pool[0] = 0
         pool[1] = np.uint64(2**64 - 1)
-        pool_lines = reference_model_lines(SampleBatch(masks=pool, num_vars=num_vars, seed=0)).splitlines(keepends=True)
+        pool_lines = reference_model_lines(SampleBatch(masks=pool, num_vars=num_vars)).splitlines(keepends=True)
         for k in TestBatchFormatting.SIZES:
             index = rng.integers(0, len(pool), size=k)
             index[0], index[-1] = 0, 1
-            batch = SampleBatch(masks=pool[index], num_vars=num_vars, seed=0)
+            batch = SampleBatch(masks=pool[index], num_vars=num_vars)
             yield batch, "".join(pool_lines[i] for i in index)
 
     @pytest.mark.parametrize("num_vars", [1, 9, 10, 63, 64, 65, 128, 130])
@@ -614,7 +629,7 @@ class TestBatchFormatting:
     def test_small_batch_matches_reference_writer_directly(self):
         rng = np.random.default_rng(9)
         masks = rng.integers(0, 2**64, size=(300, 3), dtype=np.uint64)
-        batch = SampleBatch(masks=masks, num_vars=150, seed=0)
+        batch = SampleBatch(masks=masks, num_vars=150)
         assert_same_text(batch.model_lines(), reference_model_lines(batch))
 
     def test_model_lines_digest_is_pinned(self):
@@ -672,7 +687,7 @@ class TestUpdateWeights:
 class TestDefaultUpdateRule:
     def _batch(self, bits):
         masks = np.array(bits, dtype=np.uint64)[:, None]
-        return SampleBatch(masks=masks, num_vars=1, seed=0)
+        return SampleBatch(masks=masks, num_vars=1)
 
     def test_all_positive_floors_at_eps(self):
         k = 10
@@ -694,7 +709,7 @@ class TestDefaultUpdateRule:
         assert weights[-1] == 0.75
 
     def test_empty_batch_rejected(self):
-        batch = SampleBatch(masks=np.zeros((0, 1), dtype=np.uint64), num_vars=1, seed=0)
+        batch = SampleBatch(masks=np.zeros((0, 1), dtype=np.uint64), num_vars=1)
         with pytest.raises(ValueError):
             default_update_rule(batch, WeightFunction.uniform())
 
