@@ -152,7 +152,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     """
     num_vars: int | None = None
     declared = 0
-    tokens: list[int] = []
+    clauses: list[Clause] = []
+    dropped = 0
+    current: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -177,26 +179,20 @@ def parse_dimacs(text: str) -> CnfFormula:
                 lit = int(tok)
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: non-integer token {tok!r}") from exc
-            if lit != 0 and abs(lit) > num_vars:
+            if lit == 0:
+                clause = normalize_clause(current)
+                if clause is None:
+                    dropped += 1
+                    logger.info("dropping tautological clause %s", current)
+                else:
+                    clauses.append(clause)
+                current = []
+            elif abs(lit) > num_vars:
                 raise ParseError(f"line {lineno}: literal {lit} exceeds declared {num_vars} variables")
-            tokens.append(lit)
+            else:
+                current.append(lit)
     if num_vars is None:
         raise ParseError("missing 'p cnf' header")
-
-    clauses: list[Clause] = []
-    dropped = 0
-    current: list[int] = []
-    for lit in tokens:
-        if lit == 0:
-            clause = normalize_clause(current)
-            if clause is None:
-                dropped += 1
-                logger.info("dropping tautological clause %s", current)
-            else:
-                clauses.append(clause)
-            current = []
-        else:
-            current.append(lit)
     if current:
         raise ParseError("last clause is missing its terminating 0")
     if len(clauses) + dropped != declared:

@@ -60,15 +60,16 @@ class VariableOrdering:
         return f"VariableOrdering({self.order!r})"
 
 
-def choose_ordering(formula: CnfFormula, heuristic: str = "occurrence-desc") -> VariableOrdering:
+def choose_ordering(formula: CnfFormula, heuristic: str = "occ") -> VariableOrdering:
     """Deterministic variable ordering.
 
-    'natural' is the identity; 'occurrence-desc' sorts by descending
-    literal occurrence count with ascending index as the tie-break.
+    'natural' is the identity; 'occ', the default and the CLI's, sorts by
+    descending literal occurrence count with ascending index as the
+    tie-break.
     """
     if heuristic == "natural":
         return VariableOrdering(range(1, formula.num_vars + 1))
-    if heuristic in ("occurrence-desc", "occ"):
+    if heuristic == "occ":
         counts: Counter[int] = Counter()
         for clause in formula.clauses:
             for lit in clause:
@@ -137,20 +138,17 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
         return nid
 
     def make_conj(children: list[int]) -> int:
+        # components() gives two or more non-empty parts, and only the empty
+        # residual compiles to TRUE: at most one restriction of a non-empty
+        # one is empty, so its decision never has TRUE on both branches
         kids: list[int] = []
         for child in children:
             if child == FALSE_ID:
                 return FALSE_ID
-            if child == TRUE_ID:
-                continue
             if prob.nodes[child].kind == "A":
                 kids.extend(prob.nodes[child].children)
             else:
                 kids.append(child)
-        if not kids:
-            return TRUE_ID
-        if len(kids) == 1:
-            return kids[0]
         # every kid is a decision on the lowest-ranked variable of its sub-diagram
         kids.sort(key=lambda c: rank[prob.nodes[c].var])
         key = tuple(kids)

@@ -21,6 +21,7 @@ from .errors import GuardError, SoundnessError, ZeroProbabilityError
 from .sampler import SampleBatch
 
 MAX_ORACLE_VARS = 24
+MIN_EXPECTED = 5.0  # chi-square cells expecting fewer counts are pooled into one
 
 
 def model_masks(formula: CnfFormula) -> np.ndarray:
@@ -135,9 +136,9 @@ def satisfies_masks(formula: CnfFormula, masks: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _pooled_chi_square(observed: np.ndarray, expected: np.ndarray, min_expected: float = 5.0):
+def _pooled_chi_square(observed: np.ndarray, expected: np.ndarray):
     """Pearson chi-square after pooling low-expectation cells into one bin."""
-    small = expected < min_expected
+    small = expected < MIN_EXPECTED
     obs = list(observed[~small])
     exp = list(expected[~small])
     if small.any():
@@ -194,8 +195,7 @@ def compare(batch: SampleBatch, exact: ExactDistribution) -> ComparisonReport:
         raise ValueError("empty support")
     if batch.words != 1:
         raise GuardError("comparison supports at most 64 variables")
-    sample_masks = np.asarray(batch.int_masks(), dtype=np.uint64)
-    uniq, cnt = np.unique(sample_masks, return_counts=True)
+    uniq, cnt = np.unique(batch.masks[:, 0], return_counts=True)
     pos = np.searchsorted(exact.masks, uniq)
     inside = pos < len(exact.masks)
     inside[inside] &= exact.masks[pos[inside]] == uniq[inside]
@@ -228,7 +228,7 @@ def expected_occurrence_histogram(exact: ExactDistribution, k: int, max_occurren
     return stats.binom.pmf(occ[:, None], k, exact.probs[None, :]).sum(axis=1)
 
 
-def occurrence_chi_square(exact: ExactDistribution, counts: np.ndarray, k: int, min_expected: float = 5.0):
+def occurrence_chi_square(exact: ExactDistribution, counts: np.ndarray, k: int):
     """Chi-square of the observed occurrence histogram against its prediction.
 
     The open tail beyond the largest observed occurrence is folded into a
@@ -241,4 +241,4 @@ def occurrence_chi_square(exact: ExactDistribution, counts: np.ndarray, k: int, 
     observed[values] = freqs
     tail = len(exact) - expected.sum()
     expected = np.append(expected, max(tail, 0.0))
-    return _pooled_chi_square(observed, expected, min_expected)
+    return _pooled_chi_square(observed, expected)

@@ -30,11 +30,12 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .cnf import WeightFunction
-from .errors import GuardError, StructureError, WeightError
+from .errors import GuardError, StructureError
 
 FALSE_ID = 0
 TRUE_ID = 1
 NEG_INF = float("-inf")
+MAX_ENUM_VARS = 24  # diagram_models enumerates at most 2**24 assignments
 # Prob.topo_structure()'s entries: (node id, kind, children, decision variable or 0).
 Structure = list[tuple[int, str, tuple[int, ...], int]]
 
@@ -244,7 +245,8 @@ def parameterize(prob: Prob, weights: WeightFunction) -> Prob:
     For a decision on x: theta_lo = W(-x) / (W(-x) + W(x)) and theta_hi
     its complement. Idempotent; calling again with new weights is the
     incremental update path and never touches the structure. A pair
-    whose sum overflows is first divided by its larger weight.
+    whose sum overflows is first divided by its larger weight. The sum
+    is positive, as WeightFunction rejects a pair that is both zero.
     """
     for node in prob.nodes:
         if node.kind != "D":
@@ -255,8 +257,6 @@ def parameterize(prob: Prob, weights: WeightFunction) -> Prob:
             top = max(w_neg, w_pos)
             w_neg, w_pos = w_neg / top, w_pos / top
             total = w_neg + w_pos
-        if not total > 0:
-            raise WeightError(f"variable {node.var}: W(x) + W(-x) must be positive")
         node.theta_lo = w_neg / total
         node.theta_hi = w_pos / total
     return prob
@@ -485,7 +485,7 @@ def _expand_free(masks: np.ndarray, free_vars: Iterable[int]) -> np.ndarray:
     return masks
 
 
-def diagram_models(prob: Prob, max_vars: int = 24) -> np.ndarray:
+def diagram_models(prob: Prob) -> np.ndarray:
     """All complete assignments accepted by the diagram, as sorted bitmasks.
 
     Bit v-1 of a mask holds the value of variable v. Traversal
@@ -493,8 +493,8 @@ def diagram_models(prob: Prob, max_vars: int = 24) -> np.ndarray:
     and take both values, so this works on non-smooth diagrams too.
     Intended for verification at small scale, hence the variable guard.
     """
-    if prob.num_vars > max_vars:
-        raise GuardError(f"{prob.num_vars} variables exceed the enumeration guard ({max_vars})")
+    if prob.num_vars > MAX_ENUM_VARS:
+        raise GuardError(f"{prob.num_vars} variables exceed the enumeration guard ({MAX_ENUM_VARS})")
     kappa = var_sets(prob)
     sets: dict[int, np.ndarray] = {}
     for nid in kappa:  # the reachable nodes, children first

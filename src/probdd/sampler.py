@@ -83,14 +83,9 @@ class SampleBatch:
     def words(self) -> int:
         return int(self.masks.shape[1])
 
-    def int_masks(self) -> np.ndarray | list[int]:
-        """Masks as plain integers; a numpy array when one word suffices."""
-        if self.words == 1:
-            return self.masks[:, 0]
-        return [sum(int(w) << (64 * i) for i, w in enumerate(row)) for row in self.masks]
-
     def assignments(self) -> list[Assignment]:
-        return [Assignment.from_mask(int(m), self.num_vars) for m in self.int_masks()]
+        return [Assignment.from_mask(sum(int(w) << (64 * i) for i, w in enumerate(row)), self.num_vars)
+                for row in self.masks]
 
     def _bits(self, start: int, stop: int) -> np.ndarray:
         """Rows [start, stop) unpacked to a (rows, num_vars) uint8 matrix; column v-1 = variable v."""

@@ -54,6 +54,13 @@ class TestCompileCommand:
         bad.write_text("p cnf x y\n")
         assert main(["compile", "--cnf", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("flag", ["--cnf", "--prob", "--weights"])
+    def test_missing_input_file_is_input_error(self, cnf_file, tmp_path, capsys, flag):
+        missing = str(tmp_path / "missing")
+        argv = ["sample", "-k", "1", flag, missing] + (["--cnf", cnf_file] if flag == "--weights" else [])
+        assert main(argv) == EXIT_INPUT
+        assert f"cannot read {missing}" in capsys.readouterr().err
+
     def test_missing_cnf_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["compile"])
@@ -178,6 +185,11 @@ class TestSampleCommand:
         third = run(tmp_path / "env3.txt")
         assert first == second
         assert first != third
+
+    def test_non_integer_env_seed_is_input_error(self, cnf_file, monkeypatch, capsys):
+        monkeypatch.setenv("PROB_SAMPLER_SEED", "abc")
+        assert main(["sample", "--cnf", cnf_file, "-k", "1"]) == EXIT_INPUT
+        assert "PROB_SAMPLER_SEED must be an integer" in capsys.readouterr().err
 
     def test_rational_mode_runs(self, cnf_file, weights_file, tmp_path):
         out = tmp_path / "r.txt"
@@ -345,6 +357,17 @@ class TestCheckCommand:
         prob_path.write_text("prob 1.0\nnvars 100000000\nnnodes 3\n0 F\n1 T\n2 D 1 0 1\nroot 2\n")
         assert main(["check", "--prob", str(prob_path)]) == EXIT_PROPERTY
         assert "smoothness violated at node 2: diagram never mentions 99999999 variables" in capsys.readouterr().out
+
+    def test_root_mass_above_one_fails(self, tmp_path, capsys):
+        # each pair sums to 1 within THETA_SUM_TOL, but 2,000 of them multiply to 1 + 1.8e-9
+        n = 2000
+        decisions = [f"{v + 1} D {v} 1 1 0.50000000000045 0.50000000000045" for v in range(1, n + 1)]
+        conj = f"{n + 2} A {n} " + " ".join(str(v + 1) for v in range(1, n + 1))
+        prob_path = tmp_path / "heavy.prob"
+        prob_path.write_text("\n".join(["prob 1.0", f"nvars {n}", f"nnodes {n + 3}", "0 F", "1 T", *decisions, conj,
+                                        f"root {n + 2}"]) + "\n")
+        assert main(["check", "--prob", str(prob_path)]) == EXIT_PROPERTY
+        assert "annotation violated at node 2002: root mass 1.0000000017" in capsys.readouterr().out
 
     def test_broken_file_fails(self, tmp_path):
         prob_path = tmp_path / "broken.prob"

@@ -63,6 +63,7 @@ class TestParseDimacs:
             "p cnf 2 2\n1 0\n",
             "p cnf 2 1\n1 0\n2 0\n",
             "p cnf 2 1\np cnf 2 1\n1 0\n",
+            "c only a comment\n",
         ],
     )
     def test_malformed_inputs(self, text):
@@ -156,6 +157,11 @@ class TestWeights:
         formula = parse_dimacs(EXAMPLE_DIMACS)
         with pytest.raises(ParseError):
             parse_weights("w 9 0.5\n", formula)
+
+    def test_non_numeric_weight_rejected(self):
+        formula = parse_dimacs(EXAMPLE_DIMACS)
+        with pytest.raises(ParseError, match="bad weight 'abc'"):
+            parse_weights("w 1 abc\n", formula)
 
     def test_comments_allowed(self):
         formula = parse_dimacs(EXAMPLE_DIMACS)

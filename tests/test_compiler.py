@@ -66,15 +66,15 @@ class TestChooseOrdering:
     def test_occurrence_desc_counts_by_hand(self):
         formula = parse_dimacs(EXAMPLE_DIMACS)
         # x appears twice, y and z once each; ties break by index
-        assert choose_ordering(formula, "occurrence-desc").order == (1, 2, 3)
+        assert choose_ordering(formula, "occ").order == (1, 2, 3)
 
     def test_occurrence_desc_reorders(self):
         formula = parse_dimacs("p cnf 3 3\n3 0\n3 1 0\n2 0\n")
-        assert choose_ordering(formula, "occurrence-desc").order == (3, 1, 2)
+        assert choose_ordering(formula, "occ").order == (3, 1, 2)
 
     def test_zero_clause_tie_break(self):
         formula = CnfFormula(2, ())
-        assert choose_ordering(formula, "occurrence-desc").order == (1, 2)
+        assert choose_ordering(formula, "occ").order == (1, 2)
 
     def test_bad_heuristic(self):
         with pytest.raises(ValueError):
@@ -141,7 +141,7 @@ class TestCompile:
         # repeated literal must neither change the models nor let the
         # compiler decide a variable twice on one path.
         formula = CnfFormula(3, ((1, -1), (2, 2, -3), (-2, 3, 1)))
-        for heuristic in ("natural", "occurrence-desc"):
+        for heuristic in ("natural", "occ"):
             prob = compile_cnf(formula, choose_ordering(formula, heuristic))
             assert np.array_equal(diagram_models(prob), model_masks(formula))
             assert check_determinism(prob)
@@ -150,7 +150,7 @@ class TestCompile:
     @settings(max_examples=150, deadline=None)
     def test_smoothed_models_match_oracle(self, formula):
         expected = model_masks(formula)
-        for heuristic in ("natural", "occurrence-desc"):
+        for heuristic in ("natural", "occ"):
             prob = smooth(compile_cnf(formula, choose_ordering(formula, heuristic)))
             assert np.array_equal(diagram_models(prob), expected)
 
@@ -182,7 +182,7 @@ class TestCompile:
         # in the same order.
         formula = compile_heavy_formula()
         digest = hashlib.sha256()
-        for heuristic in ("natural", "occurrence-desc"):
+        for heuristic in ("natural", "occ"):
             prob = compile_cnf(formula, choose_ordering(formula, heuristic))
             digest.update(f"root {prob.root}\n".encode())
             for node in prob.nodes:
@@ -219,7 +219,7 @@ class TestCompile:
         for formula in formulas:
             kinds["empty"] += not formula.clauses
             kinds["free"] += len(set(formula.variables()) - {abs(l) for cl in formula.clauses for l in cl}) > 0
-            for heuristic in ("natural", "occurrence-desc"):
+            for heuristic in ("natural", "occ"):
                 prob = compile_cnf(formula, choose_ordering(formula, heuristic))
                 kinds["unsat"] += prob.root == FALSE_ID
                 kinds["split"] += prob.nodes[prob.root].kind == "A"
@@ -290,6 +290,19 @@ class TestTextFormat:
     def test_import_rejects_bad_header(self):
         with pytest.raises(ParseError):
             import_prob("nvars 1\nnnodes 2\n0 F\n1 T\nroot 1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("prob 2.0\nnvars 0\nnnodes 2\n0 F\n1 T\nroot 1\n", "unsupported format version"),
+            ("prob 1.0\nnvars 1\n", "missing 'nnodes' line"),
+            ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 A\nroot 2\n", "conjunction lines are"),
+            ("prob 1.0\nnvars 0\nnnodes 2\n0 F\n1 T\nroot 5\n", "root id 5 does not exist"),
+        ],
+    )
+    def test_import_rejects_malformed_lines(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            import_prob(text)
 
     def test_import_rejects_partial_parameters(self):
         text = (

@@ -553,6 +553,15 @@ class TestWeightedModelCount:
         prob = smooth(compile_cnf(CnfFormula(n, tuple((v,) for v in range(1, n + 1))), max_vars=n))
         assert math.isclose(weighted_model_count(prob, WeightFunction.uniform(), "log"), 1.0, rel_tol=1e-9)
 
+    def test_count_beyond_the_largest_double(self):
+        # 11**400 exceeds the largest double: log mode returns inf, rational
+        # mode the count up to the rounding of the double parameters
+        n = 400
+        prob = smooth(compile_cnf(CnfFormula(n, ()), max_vars=n))
+        weights = WeightFunction({v: 10.0 for v in range(1, n + 1)})
+        assert weighted_model_count(prob, weights, "log") == math.inf
+        assert abs(weighted_model_count(prob, weights, "rational") / Fraction(11) ** n - 1) < 1e-12
+
     def test_unsatisfiable_counts_zero(self):
         prob = smooth(compile_cnf(CnfFormula(2, ((),))))
         assert weighted_model_count(prob, WeightFunction.uniform(), "rational") == 0
