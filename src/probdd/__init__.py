@@ -2,7 +2,7 @@
 
 A CNF formula is compiled once into a deterministic, decomposable
 decision diagram, smoothed, and annotated with normalized literal
-weights on its decision branches. Each batch of satisfying assignments
+weights on its decision branches. Each batch of models
 is drawn by annotating the diagram once and then routing the samples
 from the root down, flipping coins only at the decisions they reach;
 weight updates between rounds only re-parameterize the branches, never
@@ -12,15 +12,11 @@ recompile.
 __version__ = "0.1.0"
 
 from .cnf import (
-    Assignment,
     Clause,
     CnfFormula,
     WeightFunction,
-    evaluate,
     parse_dimacs,
     parse_weights,
-    render_dimacs,
-    render_weights,
 )
 from .compiler import (
     DEFAULT_MAX_VARS,
@@ -45,9 +41,6 @@ from .prob import (
     Prob,
     annotate,
     annotate_rational,
-    check_decomposability,
-    check_determinism,
-    check_smoothness,
     diagram_models,
     find_violations,
     log_sum_exp,
@@ -69,13 +62,11 @@ from .oracle import (
     ComparisonReport,
     ExactDistribution,
     compare,
-    enumerate_models,
     exact_distribution,
     model_masks,
 )
 
 __all__ = [
-    "Assignment",
     "Clause",
     "CnfFormula",
     "ComparisonReport",
@@ -97,16 +88,11 @@ __all__ = [
     "ZeroProbabilityError",
     "annotate",
     "annotate_rational",
-    "check_decomposability",
-    "check_determinism",
-    "check_smoothness",
     "choose_ordering",
     "compare",
     "compile_cnf",
     "default_update_rule",
     "diagram_models",
-    "enumerate_models",
-    "evaluate",
     "exact_distribution",
     "export_prob",
     "find_violations",
@@ -116,8 +102,6 @@ __all__ = [
     "parameterize",
     "parse_dimacs",
     "parse_weights",
-    "render_dimacs",
-    "render_weights",
     "round_reports_csv",
     "run_incremental",
     "sample",

@@ -1,4 +1,4 @@
-"""CNF formulas, literal weights, and their text formats.
+"""CNF formulas and literal weights, and the parsers of their text formats.
 
 Variables are 1-based integers; literals follow the DIMACS convention,
 where ``v`` is the positive literal of variable ``v`` and ``-v`` its
@@ -51,49 +51,6 @@ class CnfFormula:
         return range(1, self.num_vars + 1)
 
 
-@dataclass(frozen=True, eq=True)
-class Assignment:
-    """A (possibly partial) truth assignment, var -> value."""
-
-    values: dict[int, bool]
-    complete: bool
-
-    @classmethod
-    def from_values(cls, values: Mapping[int, bool], num_vars: int) -> "Assignment":
-        vals = {int(v): bool(b) for v, b in values.items()}
-        complete = len(vals) == num_vars and all(1 <= v <= num_vars for v in vals)
-        return cls(vals, complete)
-
-    @classmethod
-    def from_mask(cls, mask: int, num_vars: int) -> "Assignment":
-        """Unpack a bitmask where bit v-1 holds the value of variable v."""
-        vals = {v: bool((mask >> (v - 1)) & 1) for v in range(1, num_vars + 1)}
-        return cls(vals, True)
-
-    def to_mask(self) -> int:
-        mask = 0
-        for var, val in self.values.items():
-            if val:
-                mask |= 1 << (var - 1)
-        return mask
-
-    def literals(self) -> list[int]:
-        """Signed literals, sorted by variable index."""
-        return [v if self.values[v] else -v for v in sorted(self.values)]
-
-
-def evaluate(formula: CnfFormula, assignment: Assignment | Mapping[int, bool]) -> bool:
-    """True iff every clause contains a literal satisfied by the assignment."""
-    values = assignment.values if isinstance(assignment, Assignment) else assignment
-    for var in formula.variables():
-        if var not in values:
-            raise ValueError(f"incomplete assignment: variable {var} unassigned")
-    for clause in formula.clauses:
-        if not any(values[abs(lit)] == (lit > 0) for lit in clause):
-            return False
-    return True
-
-
 class WeightFunction:
     """Non-negative literal weights; unspecified literals weigh 1.
 
@@ -131,17 +88,10 @@ class WeightFunction:
         """(W(-var), W(var))."""
         return self[-var], self[var]
 
-    def items(self):
-        """Explicitly stored (literal, weight) pairs."""
-        return self._weights.items()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightFunction):
             return NotImplemented
         return self._weights == other._weights
-
-    def __repr__(self) -> str:
-        return f"WeightFunction({self._weights!r})"
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -200,13 +150,6 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
-def render_dimacs(formula: CnfFormula) -> str:
-    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
-    for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 def parse_weights(text: str, formula: CnfFormula) -> WeightFunction:
     """Parse `w <signed-literal> <weight>` lines; `#` starts a comment.
 
@@ -237,8 +180,3 @@ def parse_weights(text: str, formula: CnfFormula) -> WeightFunction:
             logger.info("weight of literal %d given twice, keeping the later value", lit)
         weights[lit] = weight
     return WeightFunction(weights)
-
-
-def render_weights(weights: WeightFunction) -> str:
-    lines = [f"w {lit} {weight!r}" for lit, weight in sorted(weights.items(), key=lambda kv: (abs(kv[0]), kv[0] < 0))]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -51,14 +51,6 @@ class VariableOrdering:
     def num_vars(self) -> int:
         return len(self.order)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VariableOrdering):
-            return NotImplemented
-        return self.order == other.order
-
-    def __repr__(self) -> str:
-        return f"VariableOrdering({self.order!r})"
-
 
 def choose_ordering(formula: CnfFormula, heuristic: str = "occ") -> VariableOrdering:
     """Deterministic variable ordering.

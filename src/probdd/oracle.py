@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import stats
 
-from .cnf import Assignment, CnfFormula, WeightFunction
+from .cnf import CnfFormula, WeightFunction
 from .errors import GuardError, SoundnessError, ZeroProbabilityError
 from .sampler import SampleBatch
 
@@ -25,7 +25,7 @@ MIN_EXPECTED = 5.0  # chi-square cells expecting fewer counts are pooled into on
 
 
 def model_masks(formula: CnfFormula) -> np.ndarray:
-    """Sorted bitmasks of all satisfying assignments; bit v-1 = variable v."""
+    """Sorted bitmasks of all models; bit v-1 = variable v."""
     n = formula.num_vars
     if n > MAX_ORACLE_VARS:
         raise GuardError(f"{n} variables exceed the oracle guard ({MAX_ORACLE_VARS})")
@@ -39,11 +39,6 @@ def model_masks(formula: CnfFormula) -> np.ndarray:
             satisfied |= bit == (one if lit > 0 else 0)
         keep &= satisfied
     return masks[keep]
-
-
-def enumerate_models(formula: CnfFormula) -> list[Assignment]:
-    """All satisfying assignments in canonical (ascending bitmask) order."""
-    return [Assignment.from_mask(int(m), formula.num_vars) for m in model_masks(formula)]
 
 
 def _log_weight(w: float) -> float:
@@ -74,7 +69,7 @@ def _model_weight_rational(mask: int, num_vars: int, weights: WeightFunction) ->
 
 @dataclass
 class ExactDistribution:
-    """Exact weighted distribution over the satisfying assignments.
+    """Exact weighted distribution over the models.
 
     Only models with positive probability are kept in the support;
     masks are sorted ascending and probs aligned with them.
@@ -120,7 +115,7 @@ def exact_distribution(formula: CnfFormula, weights: WeightFunction, rational: b
 
 
 def satisfies_masks(formula: CnfFormula, masks: np.ndarray) -> np.ndarray:
-    """Vectorized clause check of packed assignments, shape (k, words) or (k,)."""
+    """Vectorized clause check of packed masks, shape (k, words) or (k,)."""
     if masks.ndim == 1:
         masks = masks[:, None]
     k = masks.shape[0]

@@ -35,7 +35,10 @@ from .errors import GuardError, StructureError
 FALSE_ID = 0
 TRUE_ID = 1
 NEG_INF = float("-inf")
-MAX_ENUM_VARS = 24  # diagram_models enumerates at most 2**24 assignments
+MAX_ENUM_VARS = 24  # diagram_models enumerates at most 2**24 masks
+# smooth adds one don't-care decision per variable the root never mentions, and a
+# diagram file may declare any nvars: the cap keeps a tiny file from exhausting memory.
+MAX_ROOT_DONT_CARES = 1 << 16
 # Prob.topo_structure()'s entries: (node id, kind, children, decision variable or 0).
 Structure = list[tuple[int, str, tuple[int, ...], int]]
 
@@ -195,7 +198,7 @@ def find_violations(prob: Prob) -> list[Violation]:
     either branch; decomposability requires conjunction children to
     mention pairwise disjoint variables; smoothness requires equal
     variable sets on the two branches of every decision node, plus full
-    variable coverage at the root so sampled assignments are complete.
+    variable coverage at the root so every sampled mask is complete.
     """
     kappa = var_sets(prob)
     violations: list[Violation] = []
@@ -225,18 +228,6 @@ def find_violations(prob: Prob) -> list[Violation]:
         detail = f"diagram never mentions {prob.num_vars - len(covered)} variables, first {first}"
         violations.append(Violation("smoothness", prob.root, detail))
     return violations
-
-
-def check_determinism(prob: Prob) -> bool:
-    return not any(v.property_name == "determinism" for v in find_violations(prob))
-
-
-def check_decomposability(prob: Prob) -> bool:
-    return not any(v.property_name == "decomposability" for v in find_violations(prob))
-
-
-def check_smoothness(prob: Prob) -> bool:
-    return not any(v.property_name == "smoothness" for v in find_violations(prob))
 
 
 def parameterize(prob: Prob, weights: WeightFunction) -> Prob:
@@ -272,17 +263,22 @@ def smooth(prob: Prob) -> Prob:
     Variables absent from the entire diagram are wrapped around the root
     the same way, so samples always cover every variable. The model set
     is unchanged. A diagram already smooth at its root is returned as-is.
+    One whose root misses more than MAX_ROOT_DONT_CARES variables raises
+    GuardError and is left unchanged.
     """
     if prob.smooth or prob.root == FALSE_ID:
         prob.smoothed_root = prob.root
         return prob
-    # The one place the sampling plan goes stale: the walk below may rewire
-    # reachable nodes in place, and a moved root must come through here.
-    prob.sampling_plan = None
-
     # Smoothing only adds variables the other branch already covers, so
     # every node's variable set before smoothing is also its final set.
     kappa = var_sets(prob)
+    unmentioned = prob.num_vars - len(kappa[prob.root])
+    if unmentioned > MAX_ROOT_DONT_CARES:
+        raise GuardError(f"diagram never mentions {unmentioned} of its {prob.num_vars} variables; "
+                         f"smoothing adds at most {MAX_ROOT_DONT_CARES} don't-care decisions at the root")
+    # The one place the sampling plan goes stale: the walk below may rewire
+    # reachable nodes in place, and a moved root must come through here.
+    prob.sampling_plan = None
     dont_care: dict[int, int] = {}
     for nid, node in enumerate(prob.nodes):
         if node.kind == "D" and node.lo == TRUE_ID and node.hi == TRUE_ID:
@@ -430,7 +426,7 @@ def annotate(prob: Prob) -> dict[int, float]:
 
     The false terminal and every node whose sub-diagram has probability
     zero are excluded from the cache. exp of the root's value is the
-    probability mass of satisfying assignments; with the normalized
+    probability mass of the models; with the normalized
     branch parameters it always lies in [0, 1].
     """
     return annotate_branches(prob, LOG, prob.topo_structure())[0]
@@ -442,7 +438,7 @@ def annotate_rational(prob: Prob) -> dict[int, Fraction]:
 
 
 def weighted_model_count(prob: Prob, weights: WeightFunction, mode: str = "log"):
-    """Sum over satisfying assignments of the product of literal weights.
+    """Sum over the models of the product of literal weights.
 
     Recovered from the root annotation by undoing the per-variable
     normalization: N = P(root) * prod_x (W(x) + W(-x)). With unit
@@ -486,7 +482,7 @@ def _expand_free(masks: np.ndarray, free_vars: Iterable[int]) -> np.ndarray:
 
 
 def diagram_models(prob: Prob) -> np.ndarray:
-    """All complete assignments accepted by the diagram, as sorted bitmasks.
+    """Every complete assignment the diagram accepts, as sorted bitmasks.
 
     Bit v-1 of a mask holds the value of variable v. Traversal
     semantics: variables a branch never consults are unconstrained there

@@ -55,7 +55,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .cnf import Assignment, CnfFormula, WeightFunction
+from .cnf import CnfFormula, WeightFunction
 from .compiler import VariableOrdering, compile_cnf, DEFAULT_MAX_VARS
 from .errors import StructureError, ZeroProbabilityError
 from .prob import ARITHMETICS, FALSE_ID, TRUE_ID, Prob, Structure, annotate_branches, parameterize, smooth
@@ -67,7 +67,7 @@ _BLOCK_ROWS = 8192
 
 @dataclass
 class SampleBatch:
-    """k complete assignments packed as bitmasks, bit v-1 = variable v.
+    """k models, each a complete bitmask, bit v-1 = variable v.
 
     masks has shape (k, words) with words = ceil(num_vars / 64).
     """
@@ -82,10 +82,6 @@ class SampleBatch:
     @property
     def words(self) -> int:
         return int(self.masks.shape[1])
-
-    def assignments(self) -> list[Assignment]:
-        return [Assignment.from_mask(sum(int(w) << (64 * i) for i, w in enumerate(row)), self.num_vars)
-                for row in self.masks]
 
     def _bits(self, start: int, stop: int) -> np.ndarray:
         """Rows [start, stop) unpacked to a (rows, num_vars) uint8 matrix; column v-1 = variable v."""
@@ -230,7 +226,7 @@ def _route(plan: Structure, p_hi: dict[int, float], seed: int, start: int, out: 
 
 
 def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1) -> SampleBatch:
-    """Draw k satisfying assignments with replacement, weighted per the parameters.
+    """Draw k models with replacement, weighted per the parameters.
 
     Each sample is distributed with probability W(assignment) / N where N
     is the weighted model count. The diagram is annotated once per call,

@@ -5,8 +5,8 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
-from probdd import CnfFormula, WeightFunction, compile_cnf, export_prob, model_masks, parameterize, smooth
-from probdd.cnf import normalize_clause, render_dimacs
+from probdd import CnfFormula, WeightFunction, compile_cnf, export_prob, find_violations, model_masks, parameterize, smooth
+from probdd.cnf import normalize_clause
 
 # Worked example used throughout: (x or y) and (not x or not z) with x=1 y=2 z=3.
 # Its models, as bitmasks with bit v-1 = variable v:
@@ -56,8 +56,17 @@ def constrained_instances(seed: int, count: int, max_vars: int, max_models: int)
     return out
 
 
+def dimacs_text(formula: CnfFormula) -> str:
+    clauses = "".join(" ".join(map(str, clause)) + " 0\n" for clause in formula.clauses)
+    return f"p cnf {formula.num_vars} {len(formula.clauses)}\n" + clauses
+
+
+def violated(prob) -> set[str]:
+    return {v.property_name for v in find_violations(prob)}
+
+
 def naive_satisfies(clauses, values) -> bool:
-    """Clause-by-clause check, independent of the package's evaluate."""
+    """Clause-by-clause check over a var -> bool mapping, independent of the package's mask code."""
     for clause in clauses:
         hit = False
         for lit in clause:
@@ -126,8 +135,8 @@ def record_pools(monkeypatch) -> list[int]:
     return sizes
 
 
-# Tokens a mutation may put into a diagram file. The integers stay small: a
-# header declaring a huge nvars makes the checkers build a set that large.
+# Tokens a mutation may put into a diagram file. The integers stay small: smoothing
+# adds a don't-care decision per variable a header declares and the diagram never uses.
 MUTATION_TOKENS = ("-1", "0", "1", "2", "3", "4", "5", "6", "7", "9", "0.5", "1.0", "-0.5", "nan", "inf",
                    "1e309", "D", "A", "F", "T", "root", "nvars", "x")
 
@@ -195,7 +204,7 @@ def mutated_inputs(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = rng.randint(0, 8)
     formula = random_mixed_cnf(rng, n, rng.randint(0, 2 * n)) if n else CnfFormula(0, ())
-    cnf = render_dimacs(formula)
+    cnf = dimacs_text(formula)
     lits = [lit for v in range(1, n + 1) for lit in (v, -v) if rng.random() < 0.5]
     weights = "# weights\n" + "".join(f"w {lit} {rng.choice(WEIGHT_LEVELS)}\n" for lit in lits)
     which = rng.choice(("cnf", "weights", "both", "neither"))

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from probdd import choose_ordering, compile_cnf, parameterize, parse_dimacs, parse_weights, run_incremental, sample, smooth
+from probdd import (choose_ordering, compile_cnf, export_prob, parameterize, parse_dimacs, parse_weights, run_incremental,
+                    sample, smooth)
 from probdd.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, _write, main
 from probdd.sampler import SampleBatch
 
@@ -338,6 +339,12 @@ class TestCheckCommand:
         assert main(["check", "--prob", str(prob_path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "determinism: ok" in out and "smoothness: ok" in out
+        assert "annotation: skipped" in out
+        formula = parse_dimacs(EXAMPLE_DIMACS)
+        prob = smooth(compile_cnf(formula))
+        prob_path.write_text(export_prob(parameterize(prob, parse_weights(EXAMPLE_WEIGHTS, formula))))
+        assert main(["check", "--prob", str(prob_path)]) == EXIT_OK
+        assert "annotation: ok (root mass 0.375)" in capsys.readouterr().out
 
     def test_non_smooth_diagram_fails_naming_node(self, tmp_path, capsys):
         prob_path = tmp_path / "nonsmooth.prob"
@@ -408,6 +415,15 @@ class TestSmoothCommand:
         assert main(["smooth", "--prob", str(prob_path), "--out", str(out)]) == EXIT_OK
         assert "nnodes 9" in out.read_text()
         assert main(["check", "--prob", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [["smooth"], ["sample", "-k", "3", "--seed", "1"]])
+    def test_huge_declared_variable_count_is_guard_error(self, tmp_path, capsys, argv):
+        prob_path = tmp_path / "huge.prob"
+        prob_path.write_text("prob 1.0\nnvars 1000000000\nnnodes 2\n0 F\n1 T\nroot 1\n")
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--prob", str(prob_path), "--out", str(out)]) == EXIT_GUARD
+        assert "never mentions 1000000000" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDistCommand:

@@ -1,24 +1,14 @@
 import logging
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probdd import (
-    Assignment,
-    CnfFormula,
-    WeightFunction,
-    evaluate,
-    parse_dimacs,
-    parse_weights,
-    render_dimacs,
-    render_weights,
-)
+from probdd import CnfFormula, WeightFunction, parse_dimacs, parse_weights
 from probdd.cnf import normalize_clause
 from probdd.errors import ParseError, WeightError
 
-from helpers import EXAMPLE_DIMACS, naive_satisfies, random_mixed_cnf
+from helpers import EXAMPLE_DIMACS, dimacs_text
 
 
 class TestParseDimacs:
@@ -88,40 +78,12 @@ class TestRoundTrip:
     @given(formulas())
     @settings(max_examples=200, deadline=None)
     def test_parse_render_round_trip(self, formula):
-        assert parse_dimacs(render_dimacs(formula)) == formula
+        assert parse_dimacs(dimacs_text(formula)) == formula
 
     def test_weights_round_trip(self):
-        weights = WeightFunction({1: 0.75, -1: 0.25, 3: 2.5})
-        assert parse_weights(render_weights(weights), CnfFormula(3, ())) == weights
-
-
-class TestEvaluate:
-    def test_satisfying_assignment(self):
-        formula = parse_dimacs(EXAMPLE_DIMACS)
-        tau = Assignment.from_values({1: True, 2: True, 3: False}, 3)
-        assert evaluate(formula, tau) is True
-
-    def test_falsifying_assignment(self):
-        formula = parse_dimacs(EXAMPLE_DIMACS)
-        tau = Assignment.from_values({1: True, 2: True, 3: True}, 3)
-        assert evaluate(formula, tau) is False
-
-    def test_zero_clause_formula_always_true(self):
-        formula = CnfFormula(2, ())
-        assert evaluate(formula, {1: False, 2: False}) is True
-
-    def test_incomplete_assignment_rejected(self):
-        formula = parse_dimacs(EXAMPLE_DIMACS)
-        with pytest.raises(ValueError):
-            evaluate(formula, {1: True})
-
-    def test_agrees_with_naive_check(self):
-        rng = random.Random(7)
-        for _ in range(1000):
-            n = rng.randint(1, 20)
-            formula = random_mixed_cnf(rng, n, rng.randint(0, 30))
-            values = {v: rng.random() < 0.5 for v in range(1, n + 1)}
-            assert evaluate(formula, values) == naive_satisfies(formula.clauses, values)
+        table = {1: 0.75, -1: 0.25, 3: 2.5}
+        text = "".join(f"w {lit} {weight!r}\n" for lit, weight in table.items())
+        assert parse_weights(text, CnfFormula(3, ())) == WeightFunction(table)
 
 
 class TestWeights:
@@ -172,19 +134,3 @@ class TestWeights:
         weights = WeightFunction({1: 0.0})
         assert weights[1] == 0.0
         assert weights[-1] == 1.0
-
-
-class TestAssignment:
-    def test_mask_round_trip(self):
-        tau = Assignment.from_mask(0b101, 3)
-        assert tau.values == {1: True, 2: False, 3: True}
-        assert tau.complete
-        assert tau.to_mask() == 0b101
-
-    def test_literals_sorted(self):
-        tau = Assignment.from_mask(0b010, 3)
-        assert tau.literals() == [-1, 2, -3]
-
-    def test_incomplete_flag(self):
-        tau = Assignment.from_values({1: True}, 3)
-        assert not tau.complete

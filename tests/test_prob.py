@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -14,9 +15,6 @@ from probdd import (
     WeightFunction,
     annotate,
     annotate_rational,
-    check_decomposability,
-    check_determinism,
-    check_smoothness,
     choose_ordering,
     compile_cnf,
     diagram_models,
@@ -32,11 +30,11 @@ from probdd import (
     var_sets,
     weighted_model_count,
 )
-from probdd.errors import StructureError, WeightError
+from probdd.errors import GuardError, StructureError, WeightError
 from probdd.oracle import satisfies_masks
-from probdd.prob import FALSE_ID, TRUE_ID, Node
+from probdd.prob import FALSE_ID, MAX_ROOT_DONT_CARES, TRUE_ID, Node
 
-from helpers import EXAMPLE_DIMACS, EXAMPLE_MODELS, random_mixed_cnf, random_weights
+from helpers import EXAMPLE_DIMACS, EXAMPLE_MODELS, random_mixed_cnf, random_weights, violated
 
 NEG_INF = float("-inf")
 
@@ -140,10 +138,10 @@ class TestParameterize:
 class TestSmooth:
     def test_example_structure(self, example_pre_smooth):
         formula, prob = example_pre_smooth
-        assert not check_smoothness(prob)
+        assert "smoothness" in violated(prob)
         smooth(prob)
         assert prob.node_count == 9
-        assert check_smoothness(prob)
+        assert "smoothness" not in violated(prob)
         root = prob.nodes[prob.root]
         assert root.kind == "D" and root.var == 1
         for conj_id, dc_var in ((root.lo, 3), (root.hi, 2)):
@@ -193,7 +191,7 @@ class TestSmooth:
         before = prob.node_count
         smooth(prob)
         assert prob.node_count == before == 2  # root and the true terminal
-        assert check_smoothness(prob)
+        assert "smoothness" not in violated(prob)
 
     def test_false_branch_wrapped_for_coverage(self):
         # x forced true, y constrained only on the hi side; the dead lo
@@ -201,7 +199,7 @@ class TestSmooth:
         formula = parse_dimacs("p cnf 2 2\n1 0\n-1 2 0\n")
         prob = compile_cnf(formula, choose_ordering(formula, "natural"))
         smooth(prob)
-        assert check_smoothness(prob)
+        assert "smoothness" not in violated(prob)
         root = prob.nodes[prob.root]
         wrapped = prob.nodes[root.lo]
         assert wrapped.kind == "A"
@@ -218,7 +216,7 @@ class TestSmooth:
         assert 3 not in var_sets(prob)[prob.root]
         smooth(prob)
         assert var_sets(prob)[prob.root] == {1, 2, 3}
-        assert check_smoothness(prob)
+        assert "smoothness" not in violated(prob)
 
     def test_zero_clause_formula_covers_all_vars(self):
         formula = CnfFormula(3, ())
@@ -232,6 +230,26 @@ class TestSmooth:
         assert prob.root == FALSE_ID
         assert prob.node_count == 1
 
+    def test_huge_declared_variable_count_is_refused_unchanged(self):
+        text = "prob 1.0\nnvars 1000000000\nnnodes 2\n0 F\n1 T\nroot 1\n"
+        prob = import_prob(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match="never mentions 1000000000 of its 1000000000 variables"):
+                smooth(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert export_prob(prob) == text and not prob.smooth
+
+    def test_root_dont_care_guard_boundary(self):
+        mentioned = "nnodes 3\n0 F\n1 T\n2 D 1 0 1\nroot 2\n"  # variable 1 only
+        with pytest.raises(GuardError):
+            smooth(import_prob(f"prob 1.0\nnvars {MAX_ROOT_DONT_CARES + 2}\n{mentioned}"))
+        prob = smooth(import_prob(f"prob 1.0\nnvars {MAX_ROOT_DONT_CARES + 1}\n{mentioned}"))
+        assert prob.smooth and len(var_sets(prob)[prob.root]) == MAX_ROOT_DONT_CARES + 1
+
     def test_preserves_models_on_random_formulas(self):
         rng = random.Random(11)
         for _ in range(60):
@@ -243,9 +261,7 @@ class TestSmooth:
             after = diagram_models(prob)
             assert np.array_equal(before, after)
             assert np.array_equal(after, model_masks(formula))
-            assert check_smoothness(prob)
-            assert check_determinism(prob)
-            assert check_decomposability(prob)
+            assert violated(prob) == set()
 
     def test_dont_care_growth_bounded(self):
         rng = random.Random(5)
@@ -290,7 +306,7 @@ class TestSmooth:
         smooth(prob)
         assert prob.nodes[prob.root].kind == "A" and prob.nodes[prob.root].children == (2, 3)
         assert prob.parameterized
-        assert check_smoothness(prob)
+        assert "smoothness" not in violated(prob)
 
     def test_moving_the_root_after_smoothing_clears_smoothness(self):
         prob = Prob(2)
@@ -315,7 +331,7 @@ class TestSmooth:
         smooth(prob)  # wraps inner with a don't-care on variable 2
         prob.root = inner  # which never mentions variable 2
         parameterize(prob, WeightFunction.uniform())
-        assert not prob.smooth and not check_smoothness(prob)
+        assert not prob.smooth and "smoothness" in violated(prob)
         with pytest.raises(StructureError) as err:
             sample(prob, 1000, 1)
         assert err.value.property_name == "smoothness"
@@ -332,9 +348,7 @@ class TestSmooth:
 class TestCheckers:
     def test_example_smooth_passes_all(self, example_smooth):
         _, prob = example_smooth
-        assert check_determinism(prob)
-        assert check_decomposability(prob)
-        assert check_smoothness(prob)
+        assert violated(prob) == set()
 
     def test_example_pre_smooth_fails_at_root(self, example_pre_smooth):
         _, prob = example_pre_smooth
@@ -350,20 +364,18 @@ class TestCheckers:
         prob.nodes.append(Node("D", var=1, lo=b, hi=TRUE_ID))
         c = len(prob.nodes) - 1
         prob.root = prob.add_conj([a, c])
-        assert not check_decomposability(prob)
+        assert "decomposability" in violated(prob)
 
     def test_duplicated_variable_on_path(self):
         prob = Prob(2)
         inner = prob.add_decision(1, FALSE_ID, TRUE_ID)
         prob.root = prob.add_decision(1, inner, TRUE_ID)
-        assert not check_determinism(prob)
+        assert "determinism" in violated(prob)
 
     def test_checkers_are_pure(self, example_pre_smooth):
         _, prob = example_pre_smooth
         count = prob.node_count
-        check_smoothness(prob)
-        check_determinism(prob)
-        check_decomposability(prob)
+        find_violations(prob)
         assert prob.node_count == count
 
 
@@ -378,9 +390,6 @@ class TestWalks:
         [
             var_sets,
             find_violations,
-            check_determinism,
-            check_decomposability,
-            check_smoothness,
             smooth_again,
             annotate,
             annotate_rational,
