@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -66,7 +67,8 @@ class Prob:
     once per pass); smooth while root is smoothed_root, the root smooth()
     or import_prob last found smooth, so only moving root clears it.
     sampling_plan is the one list sampler.sample keeps of the structure:
-    topo_structure() as its first call found it, kept until smooth()
+    topo_structure() as its first call found it, children first with
+    each variable's decisions together, kept until smooth()
     walks the diagram, which a moved root needs before it can be sampled.
     It is all of the structure sample reads, so a later sample does not
     see edges rewired by hand: set sampling_plan to None after such an
@@ -151,13 +153,51 @@ class Prob:
         return order
 
     def topo_structure(self) -> Structure:
-        """topo_order() with each node's kind, children and variable (0 unless a decision).
+        """The reachable nodes with kind, children and variable (0 unless a decision), grouped by variable.
+
+        The order is children first, as topo_order()'s, but read backwards
+        it takes each variable's decisions one after another, so that the
+        drawing pass holds one variable's coins at a time. It is Kahn's
+        algorithm run parents first: a conjunction or terminal goes as
+        soon as its parents have, and decisions go a variable at a time,
+        once all of that variable's decisions are ready. In a diagram whose
+        paths follow one variable order, as every compiled diagram's do,
+        some variable is always complete; otherwise the first variable
+        with a ready decision goes with the decisions it has ready.
 
         This is all of the structure sampler.sample reads, and the list it
         keeps as sampling_plan: annotate_branches reads it forwards,
         children first, and the drawing pass backwards.
         """
-        return [(nid, self.nodes[nid].kind, self.children_of(nid), self.nodes[nid].var) for nid in self.topo_order()]
+        nodes = self.nodes
+        children = {nid: self.children_of(nid) for nid in self.topo_order()}
+        parents = Counter(child for kids in children.values() for child in kids)
+        waiting = Counter(nodes[nid].var for nid in children if nodes[nid].kind == "D")  # per variable, not yet ready
+        free: list[int] = []
+        ready: dict[int, list[int]] = {}  # per variable, its decisions whose parents have all gone
+        complete: list[int] = []  # the variables whose decisions are all ready
+
+        def release(nid: int) -> None:
+            node = nodes[nid]
+            if node.kind != "D":
+                free.append(nid)
+                return
+            ready.setdefault(node.var, []).append(nid)
+            waiting[node.var] -= 1
+            if not waiting[node.var]:
+                complete.append(node.var)
+
+        grouped: list[int] = []
+        release(self.root)
+        while free or ready:
+            batch = [free.pop()] if free else ready.pop(complete.pop() if complete else next(iter(ready)))
+            for nid in batch:
+                grouped.append(nid)
+                for child in children[nid]:
+                    parents[child] -= 1
+                    if not parents[child]:
+                        release(child)
+        return [(nid, nodes[nid].kind, children[nid], nodes[nid].var) for nid in reversed(grouped)]
 
     @property
     def node_count(self) -> int:

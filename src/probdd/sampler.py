@@ -15,24 +15,23 @@ so its mask is a complete assignment. The work is proportional to the
 nodes each sample meets, not to k times the diagram's size, and a node
 no sample meets draws nothing.
 
-Randomness is counter-based: every decision node owns a Philox stream
-keyed by (seed, its position in the traversal order), and sample index i
-always consumes draw i of that stream. Batches are therefore
-reproducible and independent of evaluation order, and a batch may be
-split across worker threads without changing its result. Each worker
-builds one generator and re-keys it for every decision it reaches, which
-gives the same bits as a fresh generator per stream. A decision reached
-by fewer than one index in _SPARSE_RATIO (500) of the worker's samples
-computes only the counter block of each of its indices, not the whole
-stream.
+Randomness is counter-based: every variable owns a Philox stream keyed
+by (seed, variable), and sample index i consumes draw i of it at
+whichever decision on that variable it reaches, the only one it meets in
+a deterministic, decomposable diagram. Batches are therefore
+reproducible and independent of evaluation order and of the arena's
+layout, and a batch may be split across worker threads without changing
+its result. Each worker draws a variable's coins for all its samples as
+one row, through one re-keyed generator.
 
 All that sample reads of the structure is one list, its sampling plan:
 Prob.topo_structure(), each reachable node with its kind, children and
-variable, children first. Annotation reads it forwards and the drawing
-pass backwards, parents first; a decision's stream id is its position.
-The first sample call stores it as prob.sampling_plan, and reweighting
-between rounds reuses it. Only smooth() drops it, when it walks the
-diagram, and a moved root cannot be sampled before smooth() walks it.
+variable, children first with each variable's decisions together.
+Annotation reads it forwards and the drawing pass backwards, parents
+first, so a worker holds one variable's row at a time. The first sample
+call stores it as prob.sampling_plan, and reweighting between rounds
+reuses it. Only smooth() drops it, when it walks the diagram, and a
+moved root cannot be sampled before smooth() walks it.
 
 The paper states the pass bottom-up: every node of positive probability
 builds the k partial samples of its sub-diagram, a conjunction ORs its
@@ -127,50 +126,43 @@ class SampleBatch:
 UpdateRule = Callable[[SampleBatch, WeightFunction], WeightFunction]
 
 
-# A decision reached by fewer than one index in _SPARSE_RATIO of a pass's
-# samples re-keys the generator to each index's counter block and computes
-# that block alone, instead of the pass's whole stream. Measured (timeit,
-# 2-vCPU VM): an index costs about 4 us that way and a contiguous draw 8 ns,
-# and the two break even near one index in 500 at 10^3 to 10^6 samples.
-_SPARSE_RATIO = 500
-
-
 class _Coins:
-    """The decisions' counter-based streams, drawn through one re-keyed Philox.
+    """One worker's coins, one variable's row of its Philox stream at a time.
 
-    Stream s of a seed is Philox keyed (seed mod 2**64, s), and draw j of
-    it is word j % 4 of counter block j // 4: what a freshly built
-    np.random.Philox(key=..., counter=j // 4) yields first. Setting the
-    key and counter of one generator, with its buffer empty, gives the
-    same bits without building a generator per decision. One instance
-    serves one drawing pass, so threads share none.
+    Variable v's stream is Philox keyed (seed mod 2**64, v), and draw j is
+    word j % 4 of counter block j // 4, as a freshly built
+    np.random.Philox(key=..., counter=j // 4) yields it. A worker drawing
+    samples [start, start + count) re-keys one generator, its buffer
+    empty, to draw a variable's draws start .. start + count - 1 as one
+    row when a decision first needs them, and drops the row when another
+    variable's decision does. One instance serves one drawing pass, so
+    threads share none.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, start: int, count: int):
+        skip, self._offset = divmod(start, 4)
+        self._count = count
         self._key = np.array([seed & MASK64, 0], dtype=np.uint64)
-        self._counter = np.zeros(4, dtype=np.uint64)
-        self._state = {"bit_generator": "Philox", "state": {"counter": self._counter, "key": self._key},
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": np.array([skip, 0, 0, 0], dtype=np.uint64), "key": self._key},
                        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self._bitgen = np.random.Philox(0)  # its seed is never used: _seek sets the whole state
         self._random = np.random.Generator(self._bitgen).random
+        self._var = 0
+        self._row = np.empty(0)
 
-    def _seek(self, stream: int, block: int) -> None:
-        self._key[1] = stream
-        self._counter[0] = block
+    def _seek(self, var: int) -> None:
+        self._key[1] = var
         self._bitgen.state = self._state
 
-    def uniforms(self, stream: int, idx: np.ndarray, start: int, count: int) -> np.ndarray:
-        """Draw start + i of the stream for each i in idx, all below count."""
-        if len(idx) * _SPARSE_RATIO >= count:
-            skip, offset = divmod(start, 4)
-            self._seek(stream, skip)
-            return self._random(count + offset)[offset:][idx]
-        out = np.empty(len(idx))
-        for i, draw in enumerate((idx + start).tolist()):
-            block, word = divmod(draw, 4)
-            self._seek(stream, block)
-            out[i] = self._random(word + 1)[word]
-        return out
+    def uniforms(self, var: int, idx: np.ndarray) -> np.ndarray:
+        """Draw start + i of var's stream for each i in idx, all below count."""
+        if var != self._var:
+            self._row = np.empty(0)  # free the old row before drawing the next
+            self._seek(var)
+            self._row = self._random(self._count + self._offset)[self._offset :]
+            self._var = var
+        return self._row[idx]
 
 
 # A decision on variable v sets bit _BITS[(v - 1) % 64] of mask word (v - 1) // 64.
@@ -181,27 +173,27 @@ def _route(plan: Structure, p_hi: dict[int, float], seed: int, start: int, out: 
     """Draw samples [start, start + len(out)) top-down, setting each one's true variables in out.
 
     plan is prob.topo_structure(), read backwards so parents come before
-    their children; a decision's stream id is its position in it. Each
+    their children and a variable's decisions one after another. Each
     node receives the indices of the samples that reach it: the root all
     of them, a conjunction hands its indices to every child, and a node
     with several parents joins what they hand it. A decision sets its
     variable's bit for the samples that take its hi branch and splits
     the rest off to its lo branch. p_hi 1.0 or 0.0 forces a branch
     without drawing, exactly as the coins u < 1.0 and u < 0.0 would;
-    otherwise sample j compares draw j of the decision's stream.
+    otherwise sample j compares draw j of its variable's stream.
     """
     count = len(out)
     columns = [out[:, word] for word in range(out.shape[1])]
-    coins = _Coins(seed)
+    coins = _Coins(seed, start, count)
     root = plan[-1][0]
     reach: dict[int, list[np.ndarray]] = {}
     if root != TRUE_ID:  # a diagram over no variables sets no bits
         reach[root] = [np.arange(count)]
-    for stream in range(len(plan) - 1, -1, -1):
-        parts = reach.pop(plan[stream][0], None)
+    for entry in reversed(plan):
+        parts = reach.pop(entry[0], None)
         if parts is None:  # most nodes at small k: unpack only the reached
             continue
-        nid, kind, children, var = plan[stream]
+        nid, kind, children, var = entry
         idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if len(idx) > count:  # only a conjunction mentioning no variable meets a sample twice
             idx = np.unique(idx)
@@ -214,7 +206,7 @@ def _route(plan: Structure, p_hi: dict[int, float], seed: int, start: int, out: 
             elif p == 0.0:
                 hi_idx, lo_idx = idx[:0], idx
             else:
-                take = coins.uniforms(stream, idx, start, count) < p
+                take = coins.uniforms(var, idx) < p
                 hi_idx, lo_idx = idx[take], idx[~take]
             word, bit = divmod(var - 1, 64)
             columns[word][hi_idx] |= _BITS[bit]
@@ -232,9 +224,12 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
     is the weighted model count. The diagram is annotated once per call,
     over its sampling plan (stored here when prob has none); mode
     'rational' does so in exact rational arithmetic instead of log space,
-    and the drawn bits use the same per-node streams either way.
-    threads > 1 splits the drawing pass across worker threads, at most
-    one per CPU and one per sample, without changing the result.
+    and the coins are the same either way: sample i's at a decision is
+    draw i of its variable's stream, which relies on the determinism and
+    decomposability that compile_cnf and import_prob guarantee (a sample
+    meets at most one decision per variable). threads > 1 splits the
+    drawing pass across worker threads, at most one per CPU and one per
+    sample, without changing the result.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -91,16 +91,16 @@ def histogram_benchmark_formula() -> CnfFormula:
     return CnfFormula(15, tuple(clauses))
 
 
-def fresh_uniforms(seed: int, stream: int, start: int, stop: int) -> np.ndarray:
-    """Draws [start, stop) of a decision's Philox stream, from a generator built for this call alone.
+def fresh_uniforms(seed: int, var: int, start: int, stop: int) -> np.ndarray:
+    """Draws [start, stop) of a variable's Philox stream, from a generator built for this call alone.
 
-    The stream is keyed (seed mod 2**64, stream). Philox emits four 64-bit
+    The stream is keyed (seed mod 2**64, var). Philox emits four 64-bit
     words per counter step and one double consumes one word, so starting
     the counter at start // 4 and trimming the remainder lands exactly on
     draw `start`. The sampler must reproduce these bits without building
-    a generator per decision; this is the reference it is held to.
+    a generator per variable; this is the reference it is held to.
     """
-    key = np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
+    key = np.array([seed & (2**64 - 1), var], dtype=np.uint64)
     skip, offset = divmod(start, 4)
     bitgen = np.random.Philox(key=key, counter=skip)
     return np.random.Generator(bitgen).random(stop - 4 * skip)[offset:]

@@ -296,6 +296,9 @@ class TestTextFormat:
             ("prob 1.0\nnvars 1\n", "missing 'nnodes' line"),
             ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 A\nroot 2\n", "conjunction lines are"),
             ("prob 1.0\nnvars 0\nnnodes 2\n0 F\n1 T\nroot 5\n", "root id 5 does not exist"),
+            ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 x 0.5\nroot 2\n", "node 2: bad parameter field"),
+            ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 0.5 nan\nroot 2\n", "node 2: parameters must be finite"),
+            ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 -0.5 1.5\nroot 2\n", "node 2: parameters must be non-negative"),
         ],
     )
     def test_import_rejects_malformed_lines(self, text, message):

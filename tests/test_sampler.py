@@ -34,7 +34,7 @@ from probdd import (
 from probdd.errors import StructureError, ZeroProbabilityError
 from probdd.oracle import satisfies_masks
 from probdd.prob import ARITHMETICS, FALSE_ID, LOG, TRUE_ID, Prob, annotate_branches
-from probdd.sampler import _SPARSE_RATIO, SampleBatch, _Coins, round_reports_csv, round_seed
+from probdd.sampler import SampleBatch, _Coins, round_reports_csv, round_seed
 
 from helpers import (
     EXAMPLE_DIMACS,
@@ -246,12 +246,13 @@ def reference_pass(prob, order, phi, p_hi, start, stop, seed):
     of positive probability, children first: empty at the true terminal,
     the OR of the children's at a conjunction, and at a decision the hi
     or lo child's per coin, with the variable's bit set on the hi side.
+    Sample i's coin at a decision is draw i of its variable's stream.
     """
     nodes = prob.nodes
     words = max(1, (prob.num_vars + 63) // 64)
     count = stop - start
     store = {}
-    for stream, nid in enumerate(order):
+    for nid in order:
         if nid not in phi:
             continue
         node = nodes[nid]
@@ -272,7 +273,7 @@ def reference_pass(prob, order, phi, p_hi, start, stop, seed):
             elif p_cond == 0.0:
                 vals = store[node.lo].copy()
             else:
-                take = fresh_uniforms(seed, stream, start, stop) < p_cond
+                take = fresh_uniforms(seed, node.var, start, stop) < p_cond
                 vals = np.where(take[:, None], store[node.hi], store[node.lo])
                 setbits = np.zeros(count, dtype=np.uint64)
                 setbits[take] = bitval
@@ -324,6 +325,52 @@ def property_diagrams():
     return list(routing_instances(406, 7))
 
 
+def relabeled_export(text, rng, shuffle_conjunctions=False):
+    """An export with its node ids permuted and unreachable filler nodes added.
+
+    The nodes are written again in a random order that keeps children
+    before parents, with a filler decision or conjunction over earlier
+    ids before the first node and about one in three of the others; no
+    reachable node points at a filler. With shuffle_conjunctions each
+    conjunction also lists its children in a random order.
+    """
+    lines = text.splitlines()
+    header, body, root = lines[:2], [line.split() for line in lines[5:-1]], int(lines[-1].split()[1])
+    parameterized = any(parts[1] == "D" and len(parts) == 7 for parts in body)
+    children = {int(p[0]): [int(c) for c in (p[3:5] if p[1] == "D" else p[3:])] for p in body}
+    waiting = {nid: sum(c > 1 for c in kids) for nid, kids in children.items()}
+    parents = {}
+    for nid, kids in children.items():
+        for child in kids:
+            parents.setdefault(child, []).append(nid)
+    remap, out = {0: 0, 1: 1}, []
+    ready = [nid for nid, count in waiting.items() if count == 0]
+    while ready:
+        if not out or rng.random() < 0.35:  # a filler over ids already written
+            a, b = rng.randrange(len(out) + 2), rng.randrange(len(out) + 2)
+            if rng.random() < 0.5:
+                var = rng.randint(1, int(header[1].split()[1]))
+                out.append(f"D {var} {a} {b}" + (" 0.25 0.75" if parameterized else ""))
+            else:
+                out.append(f"A 2 {a} {b}")
+        nid = ready.pop(rng.randrange(len(ready)))
+        parts = body[nid - 2]
+        kids = [remap[c] for c in children[nid]]
+        if parts[1] == "D":
+            out.append(" ".join(["D", parts[2], *map(str, kids), *parts[5:]]))
+        else:
+            if shuffle_conjunctions:
+                rng.shuffle(kids)
+            out.append(" ".join(["A", str(len(kids)), *map(str, kids)]))
+        remap[nid] = len(out) + 1
+        for parent in parents.get(nid, ()):
+            waiting[parent] -= 1
+            if waiting[parent] == 0:
+                ready.append(parent)
+    nodes = [f"{nid} {line}" for nid, line in enumerate(out, start=2)]
+    return "\n".join([*header, f"nnodes {len(out) + 2}", "0 F", "1 T", *nodes, f"root {remap[root]}"]) + "\n"
+
+
 class TestTopDownRouting:
     """sample routes each sample top-down; the bottom-up pass it replaced is the reference."""
 
@@ -363,20 +410,52 @@ class TestTopDownRouting:
             built.append(1)
             return philox(*args, **kwargs)
 
-        def counting_seek(coins, stream, block):
-            keyed.append(stream)
-            return seek(coins, stream, block)
+        def counting_seek(coins, var):
+            keyed.append(var)
+            return seek(coins, var)
 
         monkeypatch.setattr(np.random, "Philox", counting_philox)
         monkeypatch.setattr(_Coins, "_seek", counting_seek)
         prob = smooth(compile_cnf(compile_heavy_formula()))
         parameterize(prob, WeightFunction.uniform())
-        for seed in range(20):
-            built.clear()
-            keyed.clear()
-            sample(prob, 1, seed=seed)
-            assert len(built) == 1  # one generator for the pass
-            assert 0 < len(keyed) <= prob.num_vars  # keyed once per coin on the sample's path
+        for k in (1, 1000):
+            for seed in range(20):
+                built.clear()
+                keyed.clear()
+                sample(prob, k, seed=seed)
+                assert len(built) == 1  # one generator for the pass
+                assert 0 < len(keyed) <= prob.num_vars  # keyed only for coins some sample meets
+                assert len(set(keyed)) == len(keyed)  # each variable's decisions are routed together
+
+    def test_one_coin_row_alive_per_worker(self):
+        prob = smooth(compile_cnf(compile_heavy_formula()))
+        parameterize(prob, random_weights(random.Random(7), prob.num_vars))
+        tracemalloc.start()
+        try:
+            sample(prob, 100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20  # rows kept until used up peaked at 18.8 MB
+
+    def test_masks_do_not_depend_on_the_layout(self, monkeypatch):
+        # Coins are keyed by variable, not by a node's id or position, so a
+        # copy laid out differently samples the same masks. Shuffled
+        # conjunction children change the products' rounding in log space,
+        # so that copy is compared in exact rational annotation.
+        monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 4)  # so that threads really split
+        rng = random.Random(17)
+        for prob in property_diagrams()[:4]:
+            text = export_prob(prob)
+            for shuffle, mode in ((False, "log"), (True, "rational")):
+                copy = import_prob(relabeled_export(text, rng, shuffle))
+                assert len(copy.nodes) > len(import_prob(text).nodes)  # the fillers
+                assert export_prob(copy) == text or shuffle
+                for k in (1, 1000):
+                    seed = rng.randrange(2**64)
+                    expected = sample(prob, k, seed, mode=mode).masks.tobytes()
+                    for threads in (1, 2, 3):
+                        assert sample(copy, k, seed, mode=mode, threads=threads).masks.tobytes() == expected
 
     @given(st.data(), st.integers(0, 2**63 - 1), st.integers(1, 3000), st.integers(1, 4))
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -421,50 +500,54 @@ class TestTopDownRouting:
 
 
 class TestCoinStreams:
-    """The router's coins against a Philox stream built afresh for each call (helpers.fresh_uniforms)."""
+    """The router's coins against a variable's Philox stream built afresh for each call (helpers.fresh_uniforms)."""
 
     @pytest.mark.parametrize("seed", [0, 2**63 + 1, 2**64, 2**64 + 2**40 + 7])
     @pytest.mark.parametrize("start", [0, 1, 2, 3, 4097, 2**40 + 2])
     def test_dense_and_sparse_draws_match_fresh_philox(self, seed, start):
-        count, stream = 6000, 11
-        expected = fresh_uniforms(seed, stream, start, start + count)
+        # Index sets from one sample to all of them read one row per variable;
+        # returning to a variable draws its row again.
+        count = 6000
         rng = np.random.default_rng(start % 997)
-        coins = _Coins(seed)
+        coins = _Coins(seed, start, count)
         index_sets = [np.array([0]), np.array([5, 4, 7, 6, count - 1]), np.array([count - 1, 2, 3, 1])]
         index_sets += [rng.permutation(count)[:n] for n in (1, 11, 12, 13, 600, count)]
-        sparse = 0
-        for idx in index_sets:
-            sparse += len(idx) * _SPARSE_RATIO < count
-            assert coins.uniforms(stream, idx, start, count).tobytes() == expected[idx].tobytes()
-        assert 0 < sparse < len(index_sets)
+        for var in (11, 3, 11, 2**40):
+            expected = fresh_uniforms(seed, var, start, start + count)
+            for idx in index_sets:
+                assert coins.uniforms(var, idx).tobytes() == expected[idx].tobytes()
 
     def test_routed_coins_match_fresh_philox(self, monkeypatch):
         monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 4)  # so that threads really split
-        uniforms = _Coins.uniforms
+        init, uniforms = _Coins.__init__, _Coins.uniforms
         calls = []
 
-        def recording(coins, stream, idx, start, count):
-            got = uniforms(coins, stream, idx, start, count)
-            calls.append((stream, idx, start, count, got))
+        def recording_init(coins, seed, start, count):
+            init(coins, seed, start, count)
+            coins.drawing = (start, count)
+
+        def recording(coins, var, idx):
+            got = uniforms(coins, var, idx)
+            calls.append((var, idx, *coins.drawing, got))
             return got
 
+        monkeypatch.setattr(_Coins, "__init__", recording_init)
         monkeypatch.setattr(_Coins, "uniforms", recording)
         formula = compile_heavy_formula()
         prob = smooth(compile_cnf(formula))
         parameterize(prob, random_weights(random.Random(7), formula.num_vars))
         k = 20003  # splits start at every residue mod 4 across 2-4 threads
-        seen = {"sparse": set(), "dense": set(), "residues": set()}
+        seen = {"threads": set(), "residues": set()}
         for seed in (12345, 2**64 + 99, 2**70 + 5):
             expected = sample(prob, k, seed).masks
             for threads in (1, 2, 3, 4):
                 calls.clear()
                 assert sample(prob, k, seed, threads=threads).masks.tobytes() == expected.tobytes()
-                for stream, idx, start, count, got in calls:
-                    assert got.tobytes() == fresh_uniforms(seed, stream, start, start + count)[idx].tobytes()
-                    kind = "sparse" if len(idx) * _SPARSE_RATIO < count else "dense"
-                    seen[kind].add(threads)
+                for var, idx, start, count, got in calls:
+                    assert got.tobytes() == fresh_uniforms(seed, var, start, start + count)[idx].tobytes()
+                    seen["threads"].add(threads)
                     seen["residues"].add(start % 4)
-        assert seen["sparse"] == seen["dense"] == {1, 2, 3, 4}
+        assert seen["threads"] == {1, 2, 3, 4}
         assert seen["residues"] == {0, 1, 2, 3}
 
 
@@ -532,6 +615,35 @@ class TestSamplingPlan:
             sample(prob, 3, 1)
         assert err.value.property_name == "smoothness"
 
+    def test_the_plan_is_topological_and_groups_each_variable(self):
+        def decision_vars(plan):
+            seen = set()
+            for nid, _, children, _ in plan:  # children first
+                assert all(child in seen for child in children)
+                seen.add(nid)
+            return [var for _, kind, _, var in reversed(plan) if kind == "D"]
+
+        for prob in routing_instances(407, 12):  # compiled: every path follows one variable order
+            plan = prob.topo_structure()
+            assert sorted(nid for nid, *_ in plan) == sorted(prob.topo_order())
+            order = decision_vars(plan)
+            runs = [var for i, var in enumerate(order) if i == 0 or var != order[i - 1]]
+            assert len(runs) == len(set(order))
+
+        # x1 above x2 on one branch and below it on the other: no variable
+        # order fits, so x1's decisions are split, and the split row is drawn
+        # again with the same bits
+        prob = Prob(3)
+        d2, d1 = prob.add_decision(2, FALSE_ID, TRUE_ID), prob.add_decision(1, FALSE_ID, TRUE_ID)
+        prob.root = prob.add_decision(3, prob.add_decision(1, d2, d2), prob.add_decision(2, d1, d1))
+        smooth(prob)
+        parameterize(prob, WeightFunction({1: 0.3, -1: 0.7, 2: 0.6, -2: 0.4, 3: 0.5, -3: 0.5}))
+        plan = prob.topo_structure()
+        assert decision_vars(plan) == [3, 1, 2, 2, 1]
+        phi, p_hi = annotate_branches(prob, LOG, plan)
+        expected = reference_pass(prob, prob.topo_order(), phi, p_hi, 0, 1000, 5)
+        assert sample(prob, 1000, 5).masks.tobytes() == expected.tobytes()
+
     def test_the_plan_is_all_of_the_structure_sample_reads(self):
         formula = parse_dimacs("p cnf 2 2\n1 2 0\n-1 -2 0\n")  # exactly one of x1, x2
         prob = smooth(compile_cnf(formula, choose_ordering(formula, "natural")))
@@ -587,9 +699,10 @@ def assert_same_text(got: str, expected: str) -> None:
     pytest.fail(f"{len(got_lines)} lines written, {len(expected_lines)} expected")
 
 
-# sample(compile_heavy_formula, k=100_000, seed=5) under uniform weights,
-# written by the per-literal writer before model_lines was vectorized.
-PINNED_MODEL_LINES_DIGEST = "e5bba00b9d2c3b28f3e72d6a49368911a86dc7b79a067063b336294d8b7d046e"
+# sample(compile_heavy_formula, k=100_000, seed=5) under uniform weights.
+# Written by the per-literal writer before model_lines was vectorized, and
+# pinned again when coins became one stream per variable.
+PINNED_MODEL_LINES_DIGEST = "4ef5b35476ffdde36d220496b61d9778c7ef3b30def8d9b8a467794aecc5ad6c"
 
 
 class TestBatchFormatting:
@@ -763,9 +876,10 @@ class TestRunIncremental:
             run_incremental(CnfFormula(2, ((),)), WeightFunction.uniform(), rounds=2, k=10, seed=0)
 
 
-# Recorded before the annotation was split from the sampling pass; every
-# later change to annotation or sampling must reproduce it bit for bit.
-PINNED_SAMPLING_DIGEST = "8fa121512d16db54b463cfb30051ce5b751dad5e3c77b8fdb6085b1406e85547"
+# Recorded when coins became one stream per variable instead of one per
+# decision; every later change to annotation or sampling must reproduce it
+# bit for bit.
+PINNED_SAMPLING_DIGEST = "c716eb8d19c6c7e97e8119fc3109f3d2d318e2a5d4c37c87a31077ccb63ccee0"
 
 
 def sampling_digest() -> str:
