@@ -70,9 +70,9 @@ class Prob:
     topo_structure() as its first call found it, children first with
     each variable's decisions together, kept until smooth()
     walks the diagram, which a moved root needs before it can be sampled.
-    It is all of the structure sample reads, so a later sample does not
-    see edges rewired by hand: set sampling_plan to None after such an
-    edit.
+    annotate and annotate_rational read it too while root is smoothed.
+    It is all of the structure these read, so a later call does not see
+    edges rewired by hand: set sampling_plan to None after such an edit.
     """
 
     def __init__(self, num_vars: int):
@@ -469,12 +469,18 @@ def annotate(prob: Prob) -> dict[int, float]:
     probability mass of the models; with the normalized
     branch parameters it always lies in [0, 1].
     """
-    return annotate_branches(prob, LOG, prob.topo_structure())[0]
+    return annotate_branches(prob, LOG, _structure(prob))[0]
 
 
 def annotate_rational(prob: Prob) -> dict[int, Fraction]:
     """Exact-rational twin of annotate, over the same branch parameters."""
-    return annotate_branches(prob, RATIONAL, prob.topo_structure())[0]
+    return annotate_branches(prob, RATIONAL, _structure(prob))[0]
+
+
+def _structure(prob: Prob) -> Structure:
+    """The sampling plan sample stored, while the root is the smoothed one it was made for; else topo_structure()."""
+    plan = prob.sampling_plan
+    return plan if plan is not None and prob.smooth else prob.topo_structure()
 
 
 def weighted_model_count(prob: Prob, weights: WeightFunction, mode: str = "log"):

@@ -60,8 +60,10 @@ from .errors import StructureError, ZeroProbabilityError
 from .prob import ARITHMETICS, FALSE_ID, TRUE_ID, Prob, Structure, annotate_branches, parameterize, smooth
 
 MASK64 = (1 << 64) - 1
-# Samples unpacked and formatted at a time by SampleBatch; bounds the temporaries.
-_BLOCK_ROWS = 8192
+# Table bytes SampleBatch takes per block of model lines; bounds a block's temporaries.
+_BLOCK_BYTES = 1 << 20
+# Row b of _BYTE_BITS holds the bits of byte value b, least significant first, as masks store variables.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 
 
 @dataclass
@@ -82,41 +84,39 @@ class SampleBatch:
     def words(self) -> int:
         return int(self.masks.shape[1])
 
-    def _bits(self, start: int, stop: int) -> np.ndarray:
-        """Rows [start, stop) unpacked to a (rows, num_vars) uint8 matrix; column v-1 = variable v."""
-        raw = np.ascontiguousarray(self.masks[start:stop], dtype="<u8").view(np.uint8)
-        return np.unpackbits(raw, axis=1, bitorder="little")[:, : self.num_vars]
+    def _bytes(self) -> np.ndarray:
+        """The masks as a (k, max(1, ceil(num_vars / 8))) uint8 matrix; bit b of column j = variable 8j+b+1."""
+        raw = np.ascontiguousarray(self.masks, dtype="<u8").view(np.uint8)[:, : (self.num_vars + 7) // 8]
+        return raw if raw.shape[1] else np.zeros((len(self), 1), dtype=np.uint8)  # a line over no variables still ends
 
     def frequencies(self) -> np.ndarray:
-        """Empirical probability of each positive literal; index v-1 = variable v."""
-        k = len(self)
-        counts = np.zeros(self.num_vars, dtype=np.int64)
-        for start in range(0, k, _BLOCK_ROWS):
-            counts += self._bits(start, start + _BLOCK_ROWS).sum(axis=0, dtype=np.int64)
-        return counts / k
+        """Empirical probability of each positive literal; index v-1 = variable v, counted exactly per byte value."""
+        counts = np.array([np.bincount(column, minlength=256) for column in self._bytes().T])
+        return (counts @ _BYTE_BITS).ravel()[: self.num_vars] / len(self)
 
     def model_line_blocks(self) -> Iterator[str]:
-        """One DIMACS-style model line per sample, yielded _BLOCK_ROWS lines at a time.
+        """One DIMACS-style model line per sample, yielded about _BLOCK_BYTES of table bytes at a time.
 
         Each line is the literals "v" or "-v" for v = 1..num_vars, each
-        followed by a space, then "0" and a newline. Per block, numpy
-        picks each variable's token by the unpacked mask bits from a
-        zero-padded byte table, drops the padding and decodes one string.
+        followed by a space, then "0" and a newline. A table built per call
+        holds, for mask byte j and each of its 256 values, the tokens of
+        variables 8j+1..8j+8 the value picks, zero-padded, the last byte's
+        entries ending in "0\n". A block takes each row's entries by its
+        mask bytes and drops the padding before one decode.
         """
-        n = self.num_vars
-        width = len(str(n)) + 2
-        tokens = "".join(f"{sign}{v} ".ljust(width, "\0") for sign in ("-", "") for v in range(1, n + 1))
-        table = np.frombuffer(tokens.encode("ascii"), dtype=np.uint8).reshape(2, n, width)
-        columns = np.arange(n)
-        for start in range(0, len(self), _BLOCK_ROWS):
-            picked = table[self._bits(start, start + _BLOCK_ROWS), columns]
-            rows = np.empty((len(picked), n * width + 2), dtype=np.uint8)
-            rows[:, : n * width] = picked.reshape(len(picked), n * width)
-            del picked  # each temporary goes once the next exists, to keep the block's peak low
-            rows[:, n * width :] = np.frombuffer(b"0\n", dtype=np.uint8)
-            text = rows[rows != 0]
-            del rows
-            yield str(text, "ascii")
+        n, raw = self.num_vars, self._bytes()
+        groups, width = raw.shape[1], len(str(n)) + 2
+        text = "".join(f"{sign}{v} ".ljust(width, "\0") for sign in ("-", "") for v in range(1, n + 1))
+        tokens = np.zeros((2, 8 * groups, width), dtype=np.uint8)  # variables above n keep empty tokens
+        tokens[:, :n] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(2, n, width)
+        table = np.zeros((groups, 256, 8 * width + 2), dtype=np.uint8)
+        for bit in range(8):  # a variable of each byte at a time: the temporary is an eighth of the table
+            table[:, :, bit * width : (bit + 1) * width] = tokens[_BYTE_BITS[:, bit], bit::8].swapaxes(0, 1)
+        table[-1, :, -2:] = np.frombuffer(b"0\n", dtype=np.uint8)
+        entries, offsets = table.view(f"V{table.shape[2]}").ravel(), np.arange(0, 256 * groups, 256)
+        rows = max(1, _BLOCK_BYTES // table[:, 0].nbytes)  # a row takes one entry per mask byte
+        for start in range(0, len(self), rows):
+            yield entries.take(raw[start : start + rows] + offsets).tobytes().translate(None, b"\0").decode("ascii")
 
     def model_lines(self) -> str:
         """All model lines as one string; see model_line_blocks."""

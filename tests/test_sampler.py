@@ -30,6 +30,7 @@ from probdd import (
     sample,
     smooth,
     update_weights,
+    weighted_model_count,
 )
 from probdd.errors import StructureError, ZeroProbabilityError
 from probdd.oracle import satisfies_masks
@@ -565,6 +566,20 @@ class TestSamplingPlan:
         sample(prob, 100, 5, mode="rational", threads=2)
         assert len(calls) == 1
 
+    def test_annotation_reads_the_stored_plan(self, monkeypatch):
+        formula, prob = example_prob()
+        calls = []
+        topo_structure = Prob.topo_structure
+        monkeypatch.setattr(Prob, "topo_structure", lambda diagram: calls.append(diagram) or topo_structure(diagram))
+        sample(prob, 100, 1)
+        weighted_model_count(prob, parse_weights(EXAMPLE_WEIGHTS, formula))
+        weighted_model_count(prob, WeightFunction.uniform(), mode="rational")
+        assert len(calls) == 1
+        # a root moved by hand is annotated over its own structure, not the stored plan
+        prob.root = next(child for child in prob.children_of(prob.root) if child > TRUE_ID)
+        assert annotate(prob) == annotate_branches(prob, LOG, topo_structure(prob))[0]
+        assert len(calls) == 2
+
     def test_structure_changes_rebuild_the_plan(self):
         def assert_fresh(prob, seed):
             batch = sample(prob, 3000, seed)
@@ -705,17 +720,29 @@ def assert_same_text(got: str, expected: str) -> None:
 PINNED_MODEL_LINES_DIGEST = "4ef5b35476ffdde36d220496b61d9778c7ef3b30def8d9b8a467794aecc5ad6c"
 
 
+# Variable counts whose token width changes (9/10, 99/100, 999/1000), that
+# fill whole bytes or words exactly (8, 64, 128, 1000), that leave stray bits
+# in the last byte or word, and that leave no byte at all (0).
+FORMAT_NUM_VARS = [0, 1, 8, 9, 10, 63, 64, 65, 99, 100, 128, 130, 1000]
+
+
 class TestBatchFormatting:
     """model_lines and frequencies against the per-literal reference, across block edges."""
 
-    SIZES = (1, 8191, 8192, 8193, 20000)
+    @staticmethod
+    def _block_rows(num_vars, words):
+        """The lines model_line_blocks puts in one block at num_vars, read from its first block."""
+        probe = SampleBatch(masks=np.zeros((1 << 16, words), dtype=np.uint64), num_vars=num_vars)
+        return next(probe.model_line_blocks()).count("\n")
 
     @staticmethod
     def _batches(num_vars, seed):
-        """Batches whose rows come from a pool of random, all-zero and all-one masks.
+        """Batches of 1 row and of one block's rows - 1, + 0, + 1 and twice + 1, from a pool of masks.
 
-        The reference writer formats only the pool, which keeps it fast at
-        k = 20,000; the expected text is the pool's lines in row order.
+        The pool holds random masks, stray bits above num_vars included,
+        and the all-zero and all-one masks. The reference writer formats
+        only the pool, which keeps it fast over the block sizes; the
+        expected text is the pool's lines in row order.
         """
         rng = np.random.default_rng(seed)
         words = (num_vars + 63) // 64
@@ -723,18 +750,20 @@ class TestBatchFormatting:
         pool[0] = 0
         pool[1] = np.uint64(2**64 - 1)
         pool_lines = reference_model_lines(SampleBatch(masks=pool, num_vars=num_vars)).splitlines(keepends=True)
-        for k in TestBatchFormatting.SIZES:
+        rows = TestBatchFormatting._block_rows(num_vars, words)
+        assert 1 < rows < 1 << 16
+        for k in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
             index = rng.integers(0, len(pool), size=k)
             index[0], index[-1] = 0, 1
             batch = SampleBatch(masks=pool[index], num_vars=num_vars)
             yield batch, "".join(pool_lines[i] for i in index)
 
-    @pytest.mark.parametrize("num_vars", [1, 9, 10, 63, 64, 65, 128, 130])
+    @pytest.mark.parametrize("num_vars", FORMAT_NUM_VARS)
     def test_model_lines_match_reference_writer(self, num_vars):
         for batch, expected in self._batches(num_vars, seed=num_vars):
             assert_same_text(batch.model_lines(), expected)
 
-    @pytest.mark.parametrize("num_vars", [1, 9, 10, 63, 64, 65, 128, 130])
+    @pytest.mark.parametrize("num_vars", FORMAT_NUM_VARS)
     def test_frequencies_match_reference_bit_for_bit(self, num_vars):
         for batch, _ in self._batches(num_vars, seed=1000 + num_vars):
             assert reference_frequencies(batch).tobytes() == batch.frequencies().tobytes()
@@ -744,6 +773,19 @@ class TestBatchFormatting:
         masks = rng.integers(0, 2**64, size=(300, 3), dtype=np.uint64)
         batch = SampleBatch(masks=masks, num_vars=150)
         assert_same_text(batch.model_lines(), reference_model_lines(batch))
+
+    def test_blocks_are_bounded_by_bytes(self):
+        # 8,192 rows of 2,000 variables are 81 MB of text; blocks of 8,192 rows peaked at 278 MB
+        rng = np.random.default_rng(4)
+        batch = SampleBatch(masks=rng.integers(0, 2**64, size=(8192, 32), dtype=np.uint64), num_vars=2000)
+        tracemalloc.start()
+        try:
+            for _ in batch.model_line_blocks():
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_model_lines_digest_is_pinned(self):
         prob = smooth(compile_cnf(compile_heavy_formula()))
