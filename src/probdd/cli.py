@@ -46,15 +46,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: a bad value becomes a usage error, not a traceback."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type for an integer of at least low: a bad value becomes a usage error, not a traceback."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")  # --max-vars: 0 admits only formulas over no variables
 
 
 def _read(path: str) -> str:
@@ -236,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cnf", required=True, help="DIMACS CNF input file")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--ordering", choices=["natural", "occ"], default="occ", help="variable ordering heuristic")
-        p.add_argument("--max-vars", type=int, default=DEFAULT_MAX_VARS, dest="max_vars",
+        p.add_argument("--max-vars", type=_non_negative_int, default=DEFAULT_MAX_VARS, dest="max_vars",
                        help="compilation guard on the variable count")
         if sampling:
             p.add_argument("--weights", help="literal weight file (default: uniform)")

@@ -73,7 +73,7 @@ def choose_ordering(formula: CnfFormula, heuristic: str = "occ") -> VariableOrde
 
 def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
                 max_vars: int = DEFAULT_MAX_VARS) -> Prob:
-    """Compile a formula into an unparameterized, not necessarily smooth diagram.
+    """Compile a formula into a diagram without branch parameters, not necessarily smooth.
 
     The result is deterministic and decomposable and represents exactly
     the model set of the formula. Variables appearing in no clause do

@@ -30,15 +30,7 @@ def model_masks(formula: CnfFormula) -> np.ndarray:
     if n > MAX_ORACLE_VARS:
         raise GuardError(f"{n} variables exceed the oracle guard ({MAX_ORACLE_VARS})")
     masks = np.arange(1 << n, dtype=np.uint64)
-    keep = np.ones(1 << n, dtype=bool)
-    one = np.uint64(1)
-    for clause in formula.clauses:
-        satisfied = np.zeros(1 << n, dtype=bool)
-        for lit in clause:
-            bit = (masks >> np.uint64(abs(lit) - 1)) & one
-            satisfied |= bit == (one if lit > 0 else 0)
-        keep &= satisfied
-    return masks[keep]
+    return masks[satisfies_masks(formula, masks)]
 
 
 def _log_weight(w: float) -> float:

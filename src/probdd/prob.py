@@ -66,13 +66,11 @@ class Prob:
     every decision in the arena has branch parameters (a scan: read it
     once per pass); smooth while root is smoothed_root, the root smooth()
     or import_prob last found smooth, so only moving root clears it.
-    sampling_plan is the one list sampler.sample keeps of the structure:
-    topo_structure() as its first call found it, children first with
-    each variable's decisions together, kept until smooth()
-    walks the diagram, which a moved root needs before it can be sampled.
-    annotate and annotate_rational read it too while root is smoothed.
-    It is all of the structure these read, so a later call does not see
-    edges rewired by hand: set sampling_plan to None after such an edit.
+    plan() is the structure annotation and sampling read, kept while the
+    diagram is smooth. Only smooth() rewires nodes, and it forgets the
+    kept plan whenever it walks the diagram, so after rewiring edges by
+    hand set smoothed_root to None and call smooth(), which also checks
+    the edit again.
     """
 
     def __init__(self, num_vars: int):
@@ -82,20 +80,15 @@ class Prob:
         self.root: int = FALSE_ID
         self.num_vars = num_vars
         self.smoothed_root: int | None = None
-        self.sampling_plan: Structure | None = None
+        self._plan: Structure | None = None
 
     @property
     def smooth(self) -> bool:
         return self.smoothed_root == self.root
 
     @property
-    def unparameterized(self) -> int | None:
-        """The first decision in the arena without branch parameters, or None."""
-        return next((nid for nid, node in enumerate(self.nodes) if node.theta_lo is None and node.kind == "D"), None)
-
-    @property
     def parameterized(self) -> bool:
-        return self.unparameterized is None
+        return all(node.theta_lo is not None for node in self.nodes if node.kind == "D")
 
     def add_decision(self, var: int, lo: int, hi: int) -> int:
         if not 1 <= var <= self.num_vars:
@@ -165,9 +158,9 @@ class Prob:
         some variable is always complete; otherwise the first variable
         with a ready decision goes with the decisions it has ready.
 
-        This is all of the structure sampler.sample reads, and the list it
-        keeps as sampling_plan: annotate_branches reads it forwards,
-        children first, and the drawing pass backwards.
+        This is all of the structure sampler.sample reads, through plan():
+        annotate_branches reads it forwards, children first, and the
+        drawing pass backwards.
         """
         nodes = self.nodes
         children = {nid: self.children_of(nid) for nid in self.topo_order()}
@@ -198,6 +191,18 @@ class Prob:
                     if not parents[child]:
                         release(child)
         return [(nid, nodes[nid].kind, children[nid], nodes[nid].var) for nid in reversed(grouped)]
+
+    def plan(self) -> Structure:
+        """topo_structure(), kept while the diagram is smooth for the root it was made for.
+
+        A diagram that is not smooth gets a fresh list each call, and
+        nothing is kept.
+        """
+        plan = self._plan
+        if plan is None or plan[-1][0] != self.root or not self.smooth:
+            plan = self.topo_structure()
+            self._plan = plan if self.smooth else None
+        return plan
 
     @property
     def node_count(self) -> int:
@@ -316,9 +321,9 @@ def smooth(prob: Prob) -> Prob:
     if unmentioned > MAX_ROOT_DONT_CARES:
         raise GuardError(f"diagram never mentions {unmentioned} of its {prob.num_vars} variables; "
                          f"smoothing adds at most {MAX_ROOT_DONT_CARES} don't-care decisions at the root")
-    # The one place the sampling plan goes stale: the walk below may rewire
-    # reachable nodes in place, and a moved root must come through here.
-    prob.sampling_plan = None
+    # The one place a kept plan goes stale: the walk below may rewire
+    # reachable nodes in place.
+    prob._plan = None
     dont_care: dict[int, int] = {}
     for nid, node in enumerate(prob.nodes):
         if node.kind == "D" and node.lo == TRUE_ID and node.hi == TRUE_ID:
@@ -409,32 +414,26 @@ RATIONAL = Arithmetic(Fraction(1), Fraction, operator.mul, operator.add, lambda 
 ARITHMETICS = {"log": LOG, "rational": RATIONAL}
 
 
-def annotate_branches(
-    prob: Prob, arith: Arithmetic, structure: Structure
-) -> tuple[dict[int, Any], dict[int, float]]:
+def annotate_branches(prob: Prob, arith: Arithmetic) -> tuple[dict[int, Any], dict[int, float]]:
     """Joint probability of every reachable node and branch odds of every decision.
 
-    structure is prob.topo_structure(): every reachable node, children
-    first, with its kind, children (lo, hi for a decision) and variable,
-    read forwards. Only the branch parameters are read from prob.nodes,
-    so a caller that keeps the list computes it once for every pass that
-    needs it; sample passes its sampling plan, the same list its drawing
-    pass reads backwards.
+    Reads prob.plan() forwards: every reachable node, children first,
+    with its kind, children (lo, hi for a decision) and variable. Only
+    the branch parameters are read from prob.nodes, so while the diagram
+    is smooth every round reuses the one kept list, which sample's
+    drawing pass reads backwards.
     Returns (phi, p_hi). phi maps each node of positive probability to
     its value in `arith`; the false terminal and every node whose
     sub-diagram has probability zero are absent. p_hi maps each decision
     node in phi to the conditional probability of its hi branch, exactly
-    1.0 or 0.0 when the other branch has probability zero.
+    1.0 or 0.0 when the other branch has probability zero. A reachable
+    decision without branch parameters raises StructureError naming it.
     """
-    unset = prob.unparameterized
-    if unset is not None:
-        raise StructureError(f"diagram is not parameterized: decision node {unset} has no branch parameters",
-                             property_name="parameters", node_id=unset)
     one, lift, mul, add, ratio = arith.one, arith.lift, arith.mul, arith.add, arith.ratio
     nodes = prob.nodes
     phi: dict[int, Any] = {}
     p_hi: dict[int, float] = {}
-    for nid, kind, children, _ in structure:
+    for nid, kind, children, _ in prob.plan():
         if kind == "T":
             phi[nid] = one
         elif kind == "A":
@@ -447,6 +446,9 @@ def annotate_branches(
                 phi[nid] = value
         elif kind == "D":
             node = nodes[nid]
+            if node.theta_lo is None:
+                raise StructureError(f"diagram is not parameterized: decision node {nid} has no branch parameters",
+                                     property_name="parameters", node_id=nid)
             lo_id, hi_id = children
             lo = mul(lift(node.theta_lo), phi[lo_id]) if node.theta_lo > 0 and lo_id in phi else None
             hi = mul(lift(node.theta_hi), phi[hi_id]) if node.theta_hi > 0 and hi_id in phi else None
@@ -469,18 +471,12 @@ def annotate(prob: Prob) -> dict[int, float]:
     probability mass of the models; with the normalized
     branch parameters it always lies in [0, 1].
     """
-    return annotate_branches(prob, LOG, _structure(prob))[0]
+    return annotate_branches(prob, LOG)[0]
 
 
 def annotate_rational(prob: Prob) -> dict[int, Fraction]:
     """Exact-rational twin of annotate, over the same branch parameters."""
-    return annotate_branches(prob, RATIONAL, _structure(prob))[0]
-
-
-def _structure(prob: Prob) -> Structure:
-    """The sampling plan sample stored, while the root is the smoothed one it was made for; else topo_structure()."""
-    plan = prob.sampling_plan
-    return plan if plan is not None and prob.smooth else prob.topo_structure()
+    return annotate_branches(prob, RATIONAL)[0]
 
 
 def weighted_model_count(prob: Prob, weights: WeightFunction, mode: str = "log"):

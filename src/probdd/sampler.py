@@ -24,14 +24,13 @@ layout, and a batch may be split across worker threads without changing
 its result. Each worker draws a variable's coins for all its samples as
 one row, through one re-keyed generator.
 
-All that sample reads of the structure is one list, its sampling plan:
-Prob.topo_structure(), each reachable node with its kind, children and
-variable, children first with each variable's decisions together.
-Annotation reads it forwards and the drawing pass backwards, parents
-first, so a worker holds one variable's row at a time. The first sample
-call stores it as prob.sampling_plan, and reweighting between rounds
-reuses it. Only smooth() drops it, when it walks the diagram, and a
-moved root cannot be sampled before smooth() walks it.
+All that sample reads of the structure is one list, Prob.plan(): each
+reachable node with its kind, children and variable, children first
+with each variable's decisions together. Annotation reads it forwards
+and the drawing pass backwards, parents first, so a worker holds one
+variable's row at a time. The diagram keeps the list while it is smooth,
+so reweighting between rounds reuses it; smooth() forgets it whenever
+it walks the diagram.
 
 The paper states the pass bottom-up: every node of positive probability
 builds the k partial samples of its sub-diagram, a conjunction ORs its
@@ -56,7 +55,7 @@ import numpy as np
 
 from .cnf import CnfFormula, WeightFunction
 from .compiler import VariableOrdering, compile_cnf, DEFAULT_MAX_VARS
-from .errors import StructureError, ZeroProbabilityError
+from .errors import GuardError, StructureError, ZeroProbabilityError
 from .prob import ARITHMETICS, FALSE_ID, TRUE_ID, Prob, Structure, annotate_branches, parameterize, smooth
 
 MASK64 = (1 << 64) - 1
@@ -172,7 +171,7 @@ _BITS = [np.uint64(1 << bit) for bit in range(64)]
 def _route(plan: Structure, p_hi: dict[int, float], seed: int, start: int, out: np.ndarray) -> None:
     """Draw samples [start, start + len(out)) top-down, setting each one's true variables in out.
 
-    plan is prob.topo_structure(), read backwards so parents come before
+    plan is prob.plan(), read backwards so parents come before
     their children and a variable's decisions one after another. Each
     node receives the indices of the samples that reach it: the root all
     of them, a conjunction hands its indices to every child, and a node
@@ -222,14 +221,14 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
 
     Each sample is distributed with probability W(assignment) / N where N
     is the weighted model count. The diagram is annotated once per call,
-    over its sampling plan (stored here when prob has none); mode
-    'rational' does so in exact rational arithmetic instead of log space,
-    and the coins are the same either way: sample i's at a decision is
-    draw i of its variable's stream, which relies on the determinism and
-    decomposability that compile_cnf and import_prob guarantee (a sample
-    meets at most one decision per variable). threads > 1 splits the
-    drawing pass across worker threads, at most one per CPU and one per
-    sample, without changing the result.
+    over prob.plan(); mode 'rational' does so in exact rational
+    arithmetic instead of log space, and the coins are the same either
+    way: sample i's at a decision is draw i of its variable's stream,
+    which relies on the determinism and decomposability that compile_cnf
+    and import_prob guarantee (a sample meets at most one decision per
+    variable). threads > 1 splits the drawing pass across worker
+    threads, at most one per CPU and one per sample, without changing
+    the result. A k whose masks cannot be allocated raises GuardError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -241,13 +240,15 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
     if prob.root == FALSE_ID:
         raise ZeroProbabilityError("the diagram is unsatisfiable")
 
-    plan = prob.sampling_plan
-    if plan is None:
-        plan = prob.sampling_plan = prob.topo_structure()
-    phi, p_hi = annotate_branches(prob, arith, plan)
+    phi, p_hi = annotate_branches(prob, arith)
     if prob.root not in phi:
         raise ZeroProbabilityError("no satisfying assignment has positive probability under these weights")
-    masks = np.zeros((k, max(1, (prob.num_vars + 63) // 64)), dtype=np.uint64)
+    plan = prob.plan()  # the list annotation read: prob is smooth
+    words = max(1, (prob.num_vars + 63) // 64)
+    try:
+        masks = np.zeros((k, words), dtype=np.uint64)
+    except (MemoryError, ValueError) as exc:  # numpy raises ValueError for "array is too big"
+        raise GuardError(f"k={k} samples of {words} mask words cannot be allocated") from exc
     workers = min(threads, k, os.cpu_count() or 1)
     if workers <= 1:  # in the calling thread: a pool would add its own memory
         _route(plan, p_hi, seed, 0, masks)
@@ -294,10 +295,9 @@ class RoundReport:
     """Timing and output of one sampling round.
 
     param_s is the re-parameterization and sample_s the sampling
-    (annotation and the drawing pass, and in the first round also the
-    sampling plan's list, which later rounds reuse until smooth() walks
-    the diagram); compile_s and smooth_s are nonzero only in the round
-    that built the diagram.
+    (annotation and the drawing pass, and in the first round also
+    Prob.plan()'s list, which later rounds reuse); compile_s and
+    smooth_s are nonzero only in the round that built the diagram.
     """
 
     round: int

@@ -289,6 +289,30 @@ class TestCountArguments:
         assert "expected a positive integer" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["sample", "inc", "dist"])
+    @pytest.mark.parametrize("k", [2**59, 2**62])  # beyond any 64-bit address space: refused without allocating
+    def test_unallocatable_count_is_guard_error(self, cnf_file, capsys, command, k):
+        assert main([command, "--cnf", cnf_file, "-k", str(k)]) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert f"k={k}" in captured.err
+        assert "Traceback" not in captured.err
+
+
+class TestMaxVarsArgument:
+    def test_negative_max_vars_is_usage_error(self, cnf_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["compile", "--cnf", cnf_file, "--max-vars", "-5"])
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "expected a non-negative integer" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_zero_max_vars_is_the_guard(self, cnf_file, tmp_path):
+        empty = tmp_path / "empty.cnf"
+        empty.write_text("p cnf 0 0\n")
+        assert main(["compile", "--cnf", cnf_file, "--max-vars", "0"]) == EXIT_GUARD
+        assert main(["compile", "--cnf", str(empty), "--max-vars", "0", "--out", str(tmp_path / "out.prob")]) == EXIT_OK
+
 
 class TestIncCommand:
     def test_csv_and_model_lines(self, cnf_file, weights_file, tmp_path, capsys):

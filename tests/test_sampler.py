@@ -22,6 +22,7 @@ from probdd import (
     exact_distribution,
     export_prob,
     compare,
+    find_violations,
     import_prob,
     parameterize,
     parse_dimacs,
@@ -207,7 +208,7 @@ class TestDynamicAnnotation:
 
     def check(self, prob, mode, reference_phi, edge, cond):
         arith = ARITHMETICS[mode]
-        phi, p_hi = annotate_branches(prob, arith, prob.topo_structure())
+        phi, p_hi = annotate_branches(prob, arith)
         assert phi == reference_phi  # bit-for-bit
         if prob.root in phi:
             assert sample(prob, 4, seed=1, mode=mode).root_log_prob == arith.log(phi[prob.root])
@@ -315,7 +316,7 @@ def routing_instances(seed, count):
             continue
         while True:
             parameterize(prob, extreme_weights(rng, prob.num_vars))
-            if prob.root in annotate_branches(prob, LOG, prob.topo_structure())[0]:
+            if prob.root in annotate_branches(prob, LOG)[0]:
                 break
         yield prob
 
@@ -380,7 +381,7 @@ class TestTopDownRouting:
         seen = {"words": set(), "forced": 0, "shared": 0}
         for prob in routing_instances(404, 40):
             order = prob.topo_order()
-            phi, p_hi = annotate_branches(prob, LOG, prob.topo_structure())
+            phi, p_hi = annotate_branches(prob, LOG)
             parents = {}
             for nid in phi:
                 for child in prob.children_of(nid):
@@ -489,7 +490,7 @@ class TestTopDownRouting:
         lines += [f"{depth + 3} A 2 2 {depth + 2}", f"root {depth + 3}"]
         prob = import_prob("\n".join(lines) + "\n")
         order = prob.topo_order()
-        phi, p_hi = annotate_branches(prob, LOG, prob.topo_structure())
+        phi, p_hi = annotate_branches(prob, LOG)
         tracemalloc.start()
         try:
             masks = sample(prob, k, seed=8).masks
@@ -553,7 +554,7 @@ class TestCoinStreams:
 
 
 class TestSamplingPlan:
-    """sample keeps a plan of the structure, reuses it while the structure holds and rebuilds it after."""
+    """Prob.plan() keeps the structure while the diagram is smooth, and smooth() drops it when it walks."""
 
     def test_repeated_samples_walk_once(self, monkeypatch):
         _, prob = example_prob()
@@ -575,12 +576,23 @@ class TestSamplingPlan:
         weighted_model_count(prob, parse_weights(EXAMPLE_WEIGHTS, formula))
         weighted_model_count(prob, WeightFunction.uniform(), mode="rational")
         assert len(calls) == 1
-        # a root moved by hand is annotated over its own structure, not the stored plan
+        # a root moved by hand is annotated over its own structure, on every call
+        old_root = prob.root
         prob.root = next(child for child in prob.children_of(prob.root) if child > TRUE_ID)
-        assert annotate(prob) == annotate_branches(prob, LOG, topo_structure(prob))[0]
-        assert len(calls) == 2
+        phi = annotate(prob)
+        assert prob.root in phi and old_root not in phi
+        assert annotate(prob) == phi and len(calls) == 3
 
-    def test_structure_changes_rebuild_the_plan(self):
+    def test_a_false_root_is_not_annotated_over_the_old_plan(self):
+        formula, prob = example_prob()
+        sample(prob, 100, 1)
+        prob.root = FALSE_ID
+        smooth(prob)
+        assert annotate(prob) == {}
+        assert annotate_rational(prob) == {}
+        assert weighted_model_count(prob, parse_weights(EXAMPLE_WEIGHTS, formula)) == 0
+
+    def test_structure_changes_rebuild_the_plan(self, monkeypatch):
         def assert_fresh(prob, seed):
             batch = sample(prob, 3000, seed)
             fresh = sample(import_prob(export_prob(prob)), 3000, seed)
@@ -588,14 +600,17 @@ class TestSamplingPlan:
             return batch
 
         prob = Prob(3)
+        walks = []
+        topo_structure = Prob.topo_structure
+        monkeypatch.setattr(Prob, "topo_structure", lambda diagram: walks.append(diagram) or topo_structure(diagram))
         core = prob.add_decision(1, prob.add_decision(3, FALSE_ID, TRUE_ID), TRUE_ID)
         prob.root = core
         smooth(prob)  # wraps the root to add variable 2
-        assert prob.sampling_plan is None  # smoothing leaves the plan to the first sample
+        assert walks.count(prob) == 0  # smoothing leaves the plan to the first sample
         parameterize(prob, WeightFunction({1: 0.3, -1: 0.7, 2: 0.6, -2: 0.4, 3: 0.8, -3: 0.2}))
         wrapped = prob.root
         first = assert_fresh(prob, 1)
-        assert prob.sampling_plan is not None
+        assert walks.count(prob) == 1
 
         # a decision added, the root moved onto it and smoothed: x2 and the core
         prob.root = prob.add_decision(2, FALSE_ID, core)
@@ -603,17 +618,18 @@ class TestSamplingPlan:
         parameterize(prob, WeightFunction({1: 0.3, -1: 0.7, 2: 0.6, -2: 0.4, 3: 0.8, -3: 0.2}))
         moved = assert_fresh(prob, 1)
         assert (moved.masks[:, 0] & 2).all() and not np.array_equal(moved.masks, first.masks)
+        assert walks.count(prob) == 2
 
         # the root moved back to the first smoothed root and smoothed again
         prob.root = wrapped
         smooth(prob)
         assert assert_fresh(prob, 1).masks.tobytes() == first.masks.tobytes()
+        assert walks.count(prob) == 3
 
         # new weights keep the structure, and the plan with it
-        plan = prob.sampling_plan
         update_weights(prob, WeightFunction({1: 5.0, -1: 0.1, 2: 1.0, -2: 3.0, 3: 0.5, -3: 0.5}))
         reweighted = assert_fresh(prob, 1)
-        assert prob.sampling_plan is plan and not np.array_equal(reweighted.masks, first.masks)
+        assert walks.count(prob) == 3 and not np.array_equal(reweighted.masks, first.masks)
 
         # the root moved to the false terminal and smoothed, then back and smoothed
         prob.root = FALSE_ID
@@ -623,6 +639,7 @@ class TestSamplingPlan:
         prob.root = wrapped
         smooth(prob)
         assert assert_fresh(prob, 1).masks.tobytes() == reweighted.masks.tobytes()
+        assert walks.count(prob) == 4  # a false root is rejected before any plan is read
 
         # a root moved by hand, without smoothing, is not sampled
         prob.root = core
@@ -655,7 +672,7 @@ class TestSamplingPlan:
         parameterize(prob, WeightFunction({1: 0.3, -1: 0.7, 2: 0.6, -2: 0.4, 3: 0.5, -3: 0.5}))
         plan = prob.topo_structure()
         assert decision_vars(plan) == [3, 1, 2, 2, 1]
-        phi, p_hi = annotate_branches(prob, LOG, plan)
+        phi, p_hi = annotate_branches(prob, LOG)
         expected = reference_pass(prob, prob.topo_order(), phi, p_hi, 0, 1000, 5)
         assert sample(prob, 1000, 5).masks.tobytes() == expected.tobytes()
 
@@ -668,17 +685,38 @@ class TestSamplingPlan:
         root.lo, root.hi = root.hi, root.lo  # rewired by hand: now x1 == x2
         assert sample(prob, 2000, 3).masks.tobytes() == first.masks.tobytes()
 
-        prob.sampling_plan = None
+        prob.smoothed_root = None
+        smooth(prob)
         rewired = sample(prob, 2000, 3).masks[:, 0]
         assert rewired.tobytes() == sample(import_prob(export_prob(prob)), 2000, 3).masks.tobytes()
         assert ((rewired & 1) == (rewired >> 1 & 1)).all()
 
-        prob.nodes[root.lo].lo = prob.root  # a back edge, seen once the plan is dropped
+        prob.nodes[root.lo].lo = prob.root  # a back edge, seen once smooth() walks the diagram again
         assert sample(prob, 2000, 3).masks[:, 0].tobytes() == rewired.tobytes()
-        prob.sampling_plan = None
+        prob.smoothed_root = None
         with pytest.raises(StructureError) as err:
-            sample(prob, 3, 1)
+            smooth(prob)
         assert err.value.node_id == prob.root
+        with pytest.raises(StructureError):  # and the diagram is not sampled
+            sample(prob, 3, 1)
+
+    def test_a_branch_rewired_by_hand_is_smoothed_again(self):
+        formula = parse_dimacs("p cnf 2 2\n1 2 0\n-1 -2 0\n")  # exactly one of x1, x2
+        prob = smooth(compile_cnf(formula, choose_ordering(formula, "natural")))
+        weights = WeightFunction({1: 1.0, -1: 1.0, 2: 9.0, -2: 1.0})
+        parameterize(prob, weights)
+        first = sample(prob, 2000, 3)
+        prob.nodes[prob.root].lo = TRUE_ID  # rewired by hand: the lo branch no longer decides x2
+        assert find_violations(prob)[0].property_name == "smoothness"
+
+        prob.smoothed_root = None
+        smooth(prob)
+        parameterize(prob, weights)  # the don't-care decision smoothing added has none yet
+        assert find_violations(prob) == []
+        rewired = sample(prob, 2000, 3).masks
+        assert rewired.tobytes() == sample(import_prob(export_prob(prob)), 2000, 3).masks.tobytes()
+        assert set(rewired[:, 0].tolist()) == {0, 1, 2}  # x1 false leaves x2 free
+        assert not np.array_equal(rewired, first.masks)
 
 
 def reference_model_lines(batch: SampleBatch) -> str:
