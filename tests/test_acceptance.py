@@ -213,7 +213,8 @@ def test_criterion_07_amortization():
         later = [rep.total_s for rep in reports[1:]]
         assert sum(later) / len(later) < 0.5 * first.total_s
         print(
-            f"round1={first.total_s * 1000:.0f}ms mean(rounds 2-10)={1000 * sum(later) / len(later):.1f}ms",
+            f"round1={first.total_s * 1000:.0f}ms mean(rounds 2-10)={1000 * sum(later) / len(later):.1f}ms"
+            f" compile/sample={first.compile_s / first.sample_s:.0f}x",
             end=" ",
         )
 

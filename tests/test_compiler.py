@@ -29,6 +29,7 @@ from helpers import (
     EXAMPLE_MODELS,
     compile_heavy_formula,
     mutated_exports,
+    random_k_cnf,
     random_mixed_cnf,
     random_weights,
     violated,
@@ -227,6 +228,51 @@ class TestCompile:
                 digest.update(export_prob(prob).encode())
         assert all(kinds.values()), kinds
         assert digest.hexdigest() == "6f50c13009f9a71bf0f0c00f318016b80ef16ae7fee7c3ad5408a8dcc5374c80"
+
+    def test_arenas_past_one_machine_word_are_pinned(self):
+        # SHA-256 over the arenas (creation order) and exports of formulas
+        # with more than 64 variables and more than 64 clause suffixes,
+        # recorded when a residual was a frozenset of suffix ids: a
+        # 200-variable chain and a 100-variable ladder under both orderings,
+        # a 30-variable random 3-CNF under the default one (natural takes
+        # seconds), and one clause of 1,500 literals, natural and reversed.
+        chain = CnfFormula(200, tuple((v, v + 1) for v in range(1, 200)))
+        ladder = CnfFormula(100, tuple((-v, v + 1) for v in range(1, 100))
+                            + tuple((v, -v - 1, v + 2) for v in range(1, 99)))
+        random_3cnf = random_k_cnf(random.Random(1), 30, 60)
+        long_clause = CnfFormula(1500, (tuple(v if v % 2 else -v for v in range(1, 1501)),))
+        cases = [(formula, choose_ordering(formula, heuristic))
+                 for formula in (chain, ladder) for heuristic in ("natural", "occ")]
+        cases += [(random_3cnf, choose_ordering(random_3cnf)),
+                  (long_clause, choose_ordering(long_clause, "natural")),
+                  (long_clause, VariableOrdering(range(1500, 0, -1)))]
+        digest = hashlib.sha256()
+        for formula, ordering in cases:
+            prob = compile_cnf(formula, ordering, max_vars=formula.num_vars)
+            digest.update(f"root {prob.root}\n".encode())
+            for node in prob.nodes:
+                digest.update(f"{node.kind} {node.var} {node.lo} {node.hi} {node.children}\n".encode())
+            digest.update(export_prob(prob).encode())
+        assert digest.hexdigest() == "b8d72fffdb2c174ee8c69fd1d3948c467bb0ce595670fea9e4537544b037fe3f"
+
+    def test_parts_are_ordered_by_lowest_variable(self):
+        # The passes that grow a part walk the pending clauses up and down
+        # in turn, so a part can be seeded above its lowest variable. Here
+        # the decisions on variables 6 and 7 are two parts of the root that
+        # only come out in this order, as recorded at the frozenset
+        # compiler, when the parts are sorted by lowest variable.
+        formula = CnfFormula(10, ((1,), (-9,), (2, 4, -9), (4, 8, 9), (4,), (7,), (-2,), (-5, 9, 10),
+                                  (3,), (8,), (6,)))
+        prob = compile_cnf(formula, choose_ordering(formula, "natural"))
+        listing = [(node.kind, node.var, node.lo, node.hi, node.children) for node in prob.nodes]
+        assert prob.root == 14
+        assert listing == [
+            ("F", 0, 0, 0, ()), ("T", 0, 0, 0, ()),
+            ("D", 1, 0, 1, ()), ("D", 9, 1, 0, ()), ("D", 10, 0, 1, ()), ("D", 9, 4, 0, ()),
+            ("D", 5, 3, 5, ()), ("D", 8, 0, 1, ()), ("A", 0, 0, 0, (6, 7)), ("D", 4, 0, 8, ()),
+            ("D", 2, 9, 0, ()), ("D", 3, 0, 1, ()), ("D", 6, 0, 1, ()), ("D", 7, 0, 1, ()),
+            ("A", 0, 0, 0, (2, 10, 11, 12, 13)),
+        ]
 
 
 class TestTextFormat:
