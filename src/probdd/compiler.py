@@ -9,21 +9,25 @@ map back to the original variable. Renamed clauses are normalized
 Because the branching variable is always the lowest of the residual, a
 residual clause is always a suffix of an input clause. Every suffix is
 interned once, as an id holding its signed first literal, the id of the
-rest of the clause and a bitmask of its variables (id 0 is the empty
-clause), and a residual is a frozenset of such ids. Restricting reads
-one first literal per id: a satisfied one drops the id, a falsified one
-replaces it with the rest's id. Variable-disjoint components are grown
-from one id by taking in every id whose mask meets the part's mask, and
-are ordered by their lowest variable. Split residuals become conjunction
-nodes, residuals are memoized, and a unique table shares structurally
-identical nodes. This is simple and deterministic; it is meant for desk
-scale, not to compete with industrial compilers, which is why a
-variable-count guard applies.
+rest of the clause and a bitmask of its variables. The ids are then
+given bits ordered by their first variable, so that each variable's ids
+fill one contiguous bit range and bit 0 is the empty clause, and a
+residual is one Python int over those bits: 0 is TRUE, an odd one is
+FALSE, and the lowest set bit names the branching variable. Restricting
+clears that variable's range and sets the bit of the rest of each
+falsified clause. Variable-disjoint components are grown over groups,
+a group being the residual's ids in one variable's range, found by one
+scan of the int's binary digits; parts are ordered by their lowest
+variable. Split residuals become conjunction nodes, residuals are
+memoized, and a unique table shares structurally identical nodes. This
+is simple and deterministic; it is meant for desk scale, not to compete
+with industrial compilers, which is why a variable-count guard applies.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 
 from .cnf import CnfFormula, normalize_clause
@@ -112,12 +116,30 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
                 mask.append(mask[sid] | 1 << abs(lit))
             sid = nid
         top_ids.add(sid)
-    lowest = list(map(abs, first))  # the lowest variable of each suffix
 
-    prob = Prob(formula.num_vars)
+    # Give each id a bit, ordered by (lowest variable, id): bit 0 is the
+    # empty clause and variable v's ids fill bits start[v] to start[v + 1].
+    # Per bit: its id's first literal and variable, the end of that
+    # variable's range, its variable mask, the bit of its rest, and the
+    # variable's memo of group masks (see components).
+    num_vars, num_bits = formula.num_vars, len(first)
+    by_bit = sorted(range(num_bits), key=lambda sid: abs(first[sid]))
+    bit_of = [0] * num_bits
+    for b, sid in enumerate(by_bit):
+        bit_of[sid] = b
+    bit_lit = [first[sid] for sid in by_bit]
+    bit_var = list(map(abs, bit_lit))
+    start = [bisect_left(bit_var, v) for v in range(num_vars + 2)]
+    bit_end = [start[v + 1] for v in bit_var]
+    bit_mask = [mask[sid] for sid in by_bit]
+    bit_rest = [1 << bit_of[rest[sid]] for sid in by_bit]
+    group_masks: list[dict[str, int]] = [{} for _ in range(num_vars + 1)]
+    bit_groups = [group_masks[v] for v in bit_var]
+
+    prob = Prob(num_vars)
     decision_index: dict[tuple[int, int, int], int] = {}
     conj_index: dict[tuple[int, ...], int] = {}
-    memo: dict[frozenset[int], int] = {}
+    memo: dict[int, int] = {}
 
     def make_decision(var: int, lo: int, hi: int) -> int:
         if lo == hi:
@@ -150,61 +172,94 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
             conj_index[key] = nid
         return nid
 
-    def components(residual: frozenset[int]) -> list[frozenset[int]]:
+    def components(residual: int) -> list[int]:
         """Variable-disjoint parts, lowest variable first.
 
-        A part grows from one id: each pass over the pending ids takes in
-        every id whose mask meets the part's mask, until a pass adds
-        nothing. The ids are sorted by lowest variable, the seed is the
-        lowest, and the passes walk them upward and downward in turn, so a
-        chain of clauses is taken in one pass whatever their order.
+        A group is the residual's ids in one variable's bit range; they
+        share that variable, so a group lies within one part. A part grows
+        from one group: each pass over the pending groups takes in every
+        group whose variable mask meets the part's, until a pass adds
+        nothing. The first pass is the upward scan of the residual's binary
+        digits that finds the groups, so a connected residual is seen in
+        one scan. A group of one id has that id's mask; a larger one's is
+        memoized per variable, keyed by its digits. Later passes walk down
+        and up in turn, so a part may be seeded above its lowest variable:
+        the parts are sorted at the end.
         """
-        pending = sorted(residual, key=lowest.__getitem__, reverse=True)
-        parts: list[tuple[int, frozenset[int]]] = []
-        while pending:
-            seed = pending.pop()
-            part, grown = [seed], mask[seed]
-            size = 0
-            while size != len(part):
-                size = len(part)
+        digits = bin(residual | 1 << num_bits)[:1:-1]  # digits[b] is bit b; a "1" ends them
+        b = digits.find("1")
+        grown = 1 << bit_var[b]
+        pending: list[tuple[int, int]] = []
+        while b < num_bits:
+            end = bit_end[b]
+            after = digits.find("1", b + 1)
+            if after >= end:
+                group = bit_mask[b]
+            else:
+                key = digits[b:end]  # its length fixes b within the range
+                group = bit_groups[b].get(key)
+                if group is None:
+                    group = 0
+                    k = 0
+                    while k >= 0:
+                        group |= bit_mask[b + k]
+                        k = key.find("1", k + 1)
+                    bit_groups[b][key] = group
+                after = digits.find("1", end)
+            if group & grown:
+                grown |= group
+            else:
+                pending.append((b, group))
+            b = after
+        if not pending:
+            return [residual]
+        parts: list[int] = []
+        while True:
+            size = -1
+            while size != len(pending):
+                size = len(pending)
                 left = []
-                for sid in reversed(pending):
-                    if mask[sid] & grown:
-                        grown |= mask[sid]
-                        part.append(sid)
+                for item in reversed(pending):
+                    if item[1] & grown:
+                        grown |= item[1]
                     else:
-                        left.append(sid)
+                        left.append(item)
                 pending = left
-            if not parts and not pending:
-                return [residual]
-            parts.append((grown & -grown, frozenset(part)))
-        parts.sort()
-        return [part for _, part in parts]
+            others = 0
+            for b, _ in pending:
+                others |= (1 << bit_end[b]) - (1 << b)
+            parts.append(residual & ~others)
+            if not pending:
+                break
+            residual &= others
+            b, grown = pending.pop()
+        parts.sort(key=lambda part: part & -part)
+        return parts
 
-    def restrict(residual: frozenset[int], var: int) -> list[frozenset[int]]:
+    def restrict(residual: int, var: int) -> list[int]:
         """The residuals under var false and var true, lo first.
 
-        var is the lowest variable of the residual, so only a first literal
-        can mention it: a satisfied one drops its clause, a falsified one
-        leaves the rest of the clause.
+        var is the lowest variable of the residual, so only the ids in its
+        bit range mention it, as their first literal: a satisfied one drops
+        its clause, a falsified one leaves the rest of the clause.
         """
-        lo: list[int] = []
-        hi: list[int] = []
-        for sid in residual:
-            lit = first[sid]
-            if lit == var:
-                lo.append(rest[sid])
-            elif lit == -var:
-                hi.append(rest[sid])
+        low, high = start[var], start[var + 1]
+        lo = hi = residual >> high << high
+        group = (residual ^ lo) >> low
+        while group:
+            bit = group & -group
+            b = low + bit.bit_length() - 1
+            if bit_lit[b] > 0:
+                lo |= bit_rest[b]
             else:
-                lo.append(sid)
-                hi.append(sid)
-        return [frozenset(lo), frozenset(hi)]
+                hi |= bit_rest[b]
+            group ^= bit
+        return [lo, hi]
 
-    def known(residual: frozenset[int]) -> int | None:
+    def known(residual: int) -> int | None:
         if not residual:
             return TRUE_ID
-        if 0 in residual:
+        if residual & 1:
             return FALSE_ID
         return memo.get(residual)
 
@@ -212,7 +267,9 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
     # depth-first, lo-before-hi order. A residual is visited twice: first
     # it pushes a record (residual, var, subs) above its subs, then the
     # record builds its node from the subs' ids; var None is a conjunction.
-    top = frozenset(top_ids)
+    top = 0
+    for sid in top_ids:
+        top |= 1 << bit_of[sid]
     stack: list = [top]
     while stack:
         item = stack.pop()
@@ -226,7 +283,7 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
         subs = components(item)
         var = None
         if len(subs) == 1:
-            var = min(map(lowest.__getitem__, item))
+            var = bit_var[(item & -item).bit_length() - 1]
             subs = restrict(item, var)
         stack.append((item, var, subs))
         stack.extend(reversed(subs))
