@@ -28,7 +28,7 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .oracle import MAX_ORACLE_VARS, compare, exact_distribution, occurrence_histogram, occurrence_histogram_csv
-from .prob import FALSE_ID, Prob, annotate, find_violations, parameterize, smooth
+from .prob import ARITHMETICS, FALSE_ID, Prob, annotate, find_violations, parameterize, smooth
 from .sampler import run_incremental, round_reports_csv, sample
 
 EXIT_OK = 0
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-k", type=_positive_int, default=100, help="samples per round")
             p.add_argument("--seed", type=int, default=None,
                            help=f"RNG seed (falls back to ${SEED_ENV_VAR}, then 1)")
-            p.add_argument("--mode", choices=["log", "rational"], default="log",
+            p.add_argument("--mode", choices=list(ARITHMETICS), default="log",
                            help="annotation arithmetic")
             p.add_argument("--threads", type=_positive_int, default=1,
                            help="worker threads for the sampling pass (at most the CPU count)")

@@ -101,7 +101,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     clause count must match the count before dropping.
     """
     num_vars: int | None = None
-    declared = 0
+    declared = header_line = clause_line = 0
     clauses: list[Clause] = []
     dropped = 0
     current: list[int] = []
@@ -121,6 +121,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ParseError(f"line {lineno}: malformed header {line!r}") from exc
             if num_vars < 0 or declared < 0:
                 raise ParseError(f"line {lineno}: negative counts in header")
+            header_line = lineno
             continue
         if num_vars is None:
             raise ParseError(f"line {lineno}: clause data before 'p cnf' header")
@@ -140,13 +141,15 @@ def parse_dimacs(text: str) -> CnfFormula:
             elif abs(lit) > num_vars:
                 raise ParseError(f"line {lineno}: literal {lit} exceeds declared {num_vars} variables")
             else:
+                if not current:
+                    clause_line = lineno
                 current.append(lit)
     if num_vars is None:
         raise ParseError("missing 'p cnf' header")
     if current:
-        raise ParseError("last clause is missing its terminating 0")
+        raise ParseError(f"line {clause_line}: last clause is missing its terminating 0")
     if len(clauses) + dropped != declared:
-        raise ParseError(f"header declares {declared} clauses, found {len(clauses) + dropped}")
+        raise ParseError(f"line {header_line}: header declares {declared} clauses, found {len(clauses) + dropped}")
     return CnfFormula(num_vars, tuple(clauses))
 
 

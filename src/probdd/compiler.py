@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
+from itertools import islice
 
 from .cnf import CnfFormula, normalize_clause
 from .errors import GuardError, ParseError, StructureError
@@ -94,11 +95,11 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
     order, rank = ordering.order, ordering.rank
 
     # Intern every suffix of every renamed clause, shortest first, keyed by
-    # (first literal, id of the rest). Per id: its signed first literal,
-    # the id of the suffix without it, and a bitmask with bit v set for
-    # each variable v it mentions. Id 0 is the empty clause.
-    first, rest, mask = [0], [0], [0]
-    suffix_ids: dict[tuple[int, int], int] = {}
+    # (its signed first literal, the id of the rest). A suffix's id is its
+    # key's position in suffix_ids, so first and rest are read back from
+    # the keys; id 0, the empty clause, is keyed (0, 0). Per id, mask has
+    # bit v set for each variable v it mentions; a rest's id is smaller.
+    suffix_ids: dict[tuple[int, int], int] = {(0, 0): 0}
     top_ids: set[int] = set()
     for clause in formula.clauses:
         # a repeated literal would be decided twice; a tautology constrains nothing
@@ -107,15 +108,12 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
             continue
         sid = 0
         for lit in reversed(clause):
-            key = (lit, sid)
-            nid = suffix_ids.get(key)
-            if nid is None:
-                nid = suffix_ids[key] = len(first)
-                first.append(lit)
-                rest.append(sid)
-                mask.append(mask[sid] | 1 << abs(lit))
-            sid = nid
+            sid = suffix_ids.setdefault((lit, sid), len(suffix_ids))
         top_ids.add(sid)
+    first, rest = zip(*suffix_ids)
+    mask = [0]
+    for lit, sid in islice(suffix_ids, 1, None):
+        mask.append(mask[sid] | 1 << abs(lit))
 
     # Give each id a bit, ordered by (lowest variable, id): bit 0 is the
     # empty clause and variable v's ids fill bits start[v] to start[v + 1].

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy import stats
@@ -51,14 +50,6 @@ def _model_log_weights(models: np.ndarray, num_vars: int, weights: WeightFunctio
     return logw
 
 
-def _model_weight_rational(mask: int, num_vars: int, weights: WeightFunction) -> Fraction:
-    w = Fraction(1)
-    for var in range(1, num_vars + 1):
-        lit = var if (mask >> (var - 1)) & 1 else -var
-        w *= Fraction(weights[lit])
-    return w
-
-
 @dataclass
 class ExactDistribution:
     """Exact weighted distribution over the models.
@@ -69,29 +60,21 @@ class ExactDistribution:
 
     masks: np.ndarray
     probs: np.ndarray
-    normalization: float | Fraction
+    normalization: float
     num_vars: int
 
     def __len__(self) -> int:
         return len(self.masks)
 
 
-def exact_distribution(formula: CnfFormula, weights: WeightFunction, rational: bool = False) -> ExactDistribution:
+def exact_distribution(formula: CnfFormula, weights: WeightFunction) -> ExactDistribution:
     """Pr[model] = product of its literal weights, normalized by their sum N.
 
-    The float path sums log weights and divides by the heaviest model's
-    weight before adding up, so the probabilities stay accurate even
-    where N itself lies outside a double's range.
+    Sums log weights and divides by the heaviest model's weight before
+    adding up, so the probabilities stay accurate even where N itself
+    lies outside a double's range; normalization is then 0.0 or inf.
     """
     models = model_masks(formula)
-    if rational:
-        fracs = [_model_weight_rational(int(m), formula.num_vars, weights) for m in models]
-        normalization = sum(fracs, Fraction(0))
-        if normalization == 0:
-            raise ZeroProbabilityError("every satisfying assignment has weight zero")
-        probs = np.array([float(f / normalization) for f in fracs], dtype=np.float64)
-        positive = np.array([f > 0 for f in fracs], dtype=bool)
-        return ExactDistribution(models[positive], probs[positive], normalization, formula.num_vars)
     logw = _model_log_weights(models, formula.num_vars, weights)
     top = float(logw.max(initial=-math.inf))
     if top == -math.inf:

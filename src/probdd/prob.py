@@ -25,6 +25,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from typing import Any, Callable, Iterable
 
@@ -483,34 +484,30 @@ def weighted_model_count(prob: Prob, weights: WeightFunction, mode: str = "log")
     """Sum over the models of the product of literal weights.
 
     Recovered from the root annotation by undoing the per-variable
-    normalization: N = P(root) * prod_x (W(x) + W(-x)). With unit
-    weights this is the model count. mode 'rational' returns an exact
-    Fraction, mode 'log' a float from the sum of the factors' logs, so
-    that no partial product under- or overflows. The diagram is
-    re-parameterized with the given weights so annotation and
-    normalization always agree.
+    normalization: N = P(root) * prod_x (W(x) + W(-x)), each factor
+    lifted into the annotation's arithmetic and multiplied there. With
+    unit weights this is the model count. mode 'rational' returns an
+    exact Fraction; mode 'log' sums logs, so that no partial product
+    under- or overflows, and returns exp of the sum, inf past the
+    largest double. The diagram is re-parameterized with the given
+    weights so annotation and normalization always agree.
     """
-    if mode not in ARITHMETICS:
+    arith = ARITHMETICS.get(mode)
+    if arith is None:
         raise ValueError(f"unknown mode {mode!r}")
     if not prob.smooth:
         raise StructureError("weighted_model_count requires a smoothed diagram", property_name="smoothness")
     parameterize(prob, weights)
+    phi = annotate_branches(prob, arith)[0]
+    if prob.root not in phi:
+        return Fraction(0) if mode == "rational" else 0.0
+    count = phi[prob.root]
+    for var in range(1, prob.num_vars + 1):  # a pair is never both zero
+        count = arith.mul(count, reduce(arith.add, map(arith.lift, filter(None, weights.pair(var)))))
     if mode == "rational":
-        phi = annotate_rational(prob)
-        mass = phi.get(prob.root, Fraction(0))
-        scale = Fraction(1)
-        for var in range(1, prob.num_vars + 1):
-            scale *= Fraction(weights[-var]) + Fraction(weights[var])
-        return mass * scale
-    phi_log = annotate(prob)
-    if prob.root not in phi_log:
-        return 0.0
-    log_count = phi_log[prob.root]
-    for var in range(1, prob.num_vars + 1):
-        low, top = sorted(weights.pair(var))  # top > 0: a pair is never both zero
-        log_count += math.log(top) + math.log1p(low / top)
+        return count
     try:
-        return math.exp(log_count)
+        return math.exp(count)
     except OverflowError:  # the count exceeds the largest double
         return math.inf
 

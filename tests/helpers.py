@@ -1,12 +1,15 @@
 """Shared test utilities: deterministic formula generators and naive checks."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
 from probdd import CnfFormula, WeightFunction, compile_cnf, export_prob, find_violations, model_masks, parameterize, smooth
 from probdd.cnf import normalize_clause
+from probdd.errors import ZeroProbabilityError
+from probdd.oracle import ExactDistribution
 
 # Worked example used throughout: (x or y) and (not x or not z) with x=1 y=2 z=3.
 # Its models, as bitmasks with bit v-1 = variable v:
@@ -54,6 +57,27 @@ def constrained_instances(seed: int, count: int, max_vars: int, max_models: int)
         if 1 <= len(model_masks(formula)) <= max_models:
             out.append(formula)
     return out
+
+
+def rational_distribution(formula: CnfFormula, weights: WeightFunction) -> ExactDistribution:
+    """exact_distribution in exact rationals, the reference its log-space sums are held to.
+
+    Each model's weight is the Fraction product of its literal weights;
+    normalization is their exact Fraction sum N, which no double bounds.
+    """
+    models = model_masks(formula)
+    fracs = []
+    for mask in models:
+        w = Fraction(1)
+        for var in range(1, formula.num_vars + 1):
+            w *= Fraction(weights[var if (int(mask) >> (var - 1)) & 1 else -var])
+        fracs.append(w)
+    normalization = sum(fracs, Fraction(0))
+    if normalization == 0:
+        raise ZeroProbabilityError("every satisfying assignment has weight zero")
+    probs = np.array([float(f / normalization) for f in fracs], dtype=np.float64)
+    positive = np.array([f > 0 for f in fracs], dtype=bool)
+    return ExactDistribution(models[positive], probs[positive], normalization, formula.num_vars)
 
 
 def dimacs_text(formula: CnfFormula) -> str:

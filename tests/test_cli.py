@@ -55,6 +55,16 @@ class TestCompileCommand:
         bad.write_text("p cnf x y\n")
         assert main(["compile", "--cnf", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 3 2\n1 0\n\n2\n-3\n", "line 4: last clause is missing its terminating 0"),
+        ("c two clauses\np cnf 2 2\n1 2 0\n", "line 2: header declares 2 clauses, found 1"),
+    ])
+    def test_clause_count_errors_name_their_line(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.cnf"
+        bad.write_text(text)
+        assert main(["compile", "--cnf", str(bad)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flag", ["--cnf", "--prob", "--weights"])
     def test_missing_input_file_is_input_error(self, cnf_file, tmp_path, capsys, flag):
         missing = str(tmp_path / "missing")

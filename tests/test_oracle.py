@@ -23,7 +23,15 @@ from probdd.oracle import (
 )
 from probdd.sampler import SampleBatch
 
-from helpers import EXAMPLE_DIMACS, EXAMPLE_MODELS, EXAMPLE_WEIGHTS, naive_satisfies, random_mixed_cnf, random_weights
+from helpers import (
+    EXAMPLE_DIMACS,
+    EXAMPLE_MODELS,
+    EXAMPLE_WEIGHTS,
+    naive_satisfies,
+    random_mixed_cnf,
+    random_weights,
+    rational_distribution,
+)
 
 
 def batch_from_masks(masks, num_vars):
@@ -91,7 +99,7 @@ class TestExactDistribution:
 
     def test_rational_mode_is_exact(self):
         formula = parse_dimacs(EXAMPLE_DIMACS)
-        dist = exact_distribution(formula, parse_weights(EXAMPLE_WEIGHTS, formula), rational=True)
+        dist = rational_distribution(formula, parse_weights(EXAMPLE_WEIGHTS, formula))
         assert dist.normalization == Fraction(3, 8)
 
     def test_all_models_killed_raises(self):
@@ -112,7 +120,7 @@ class TestExactDistribution:
                 table[-v] = rng.choice([w for w in levels if w or table[v]])  # never both zero
             weights = WeightFunction(table)
             try:
-                exact = exact_distribution(formula, weights, rational=True)
+                exact = rational_distribution(formula, weights)
             except ZeroProbabilityError:
                 with pytest.raises(ZeroProbabilityError):
                     exact_distribution(formula, weights)

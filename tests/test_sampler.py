@@ -24,6 +24,7 @@ from probdd import (
     compare,
     find_violations,
     import_prob,
+    model_masks,
     parameterize,
     parse_dimacs,
     parse_weights,
@@ -42,6 +43,7 @@ from helpers import (
     EXAMPLE_DIMACS,
     EXAMPLE_WEIGHTS,
     compile_heavy_formula,
+    constrained_instances,
     fresh_uniforms,
     naive_satisfies,
     random_mixed_cnf,
@@ -187,6 +189,57 @@ class TestSample:
         assert batch.masks[0].tolist() == [2**64 - 1, 2**6 - 1]
         first_line = batch.model_lines().splitlines()[0].split()
         assert first_line == [str(v) for v in range(1, n + 1)] + ["0"]
+
+    def test_disjoint_blocks_past_the_oracle_follow_their_exact_distributions(self):
+        # The oracle enumerates at most 24 variables, but a disjoint union of
+        # small formulas has a known distribution: each block's projection
+        # follows the block's own, and blocks are drawn independently. The
+        # blocks are renamed apart and shuffled over more than 128 variables,
+        # so masks span three words, and each has at least four models, so
+        # that it has a distribution to check. TV < 0.005 for at most 48
+        # models at k = 1e6 is criterion 3's bound; the two largest supports
+        # over at most 12 variables each are also checked jointly against the
+        # product of their distributions, which tests their independence.
+        rng = random.Random(52)
+        blocks = [block for block in constrained_instances(seed=52, count=80, max_vars=14, max_models=48)
+                  if len(model_masks(block)) >= 4]
+        n = sum(block.num_vars for block in blocks)
+        assert n > 128
+        names = rng.sample(range(1, n + 1), n)
+        scopes, clauses = [], []
+        for block in blocks:
+            scope, names = names[:block.num_vars], names[block.num_vars:]
+            scopes.append(scope)
+            clauses += [tuple(scope[lit - 1] if lit > 0 else -scope[-lit - 1] for lit in c) for c in block.clauses]
+        rng.shuffle(clauses)
+        weights = random_weights(rng, n)
+        prob = smooth(compile_cnf(CnfFormula(n, tuple(clauses)), max_vars=n))
+        parameterize(prob, weights)
+        masks = sample(prob, 10**6, seed=9).masks
+        assert masks.shape == (10**6, 3)
+        columns = [np.ascontiguousarray(masks[:, word]) for word in range(3)]
+
+        def check(scope):
+            """The samples projected onto scope, compared with the distribution of the clauses over scope."""
+            local = {var: j for j, var in enumerate(scope, 1)}
+            projected = np.zeros(len(masks), dtype=np.uint64)
+            for var, j in local.items():
+                word, bit = divmod(var - 1, 64)
+                projected |= ((columns[word] >> np.uint64(bit)) & np.uint64(1)) << np.uint64(j - 1)
+
+            def rename(lit):
+                return local[lit] if lit > 0 else -local[-lit]
+
+            formula = CnfFormula(len(scope), tuple(tuple(map(rename, c)) for c in clauses if abs(c[0]) in local))
+            local_weights = WeightFunction({rename(lit): weights[lit] for var in scope for lit in (var, -var)})
+            exact = exact_distribution(formula, local_weights)
+            return compare(SampleBatch(masks=projected[:, None], num_vars=len(scope)), exact)  # raises outside the support
+
+        for scope in scopes:
+            assert check(scope).tv_distance < 0.005
+        a, b = sorted((i for i, block in enumerate(blocks) if block.num_vars <= 12),
+                      key=lambda i: -len(model_masks(blocks[i])))[:2]
+        assert check(scopes[a] + scopes[b]).chi_square_p >= 1e-3
 
 
 class TestDynamicAnnotation:
@@ -499,6 +552,29 @@ class TestTopDownRouting:
             tracemalloc.stop()
         assert masks.tobytes() == reference_pass(prob, order, phi, p_hi, 0, k, 8).tobytes()
         assert peak < 2**20  # copying the indices 2**14 times would take 8 MB
+
+    def test_branches_route_through_nested_conjunctions(self, monkeypatch):
+        # Compiled and smoothed diagrams keep conjunctions flat, so this smooth
+        # diagram is written by hand. Variable 2's lo branch enters node 6, a
+        # conjunction whose child 5 is a conjunction of decisions, and its hi
+        # branch node 9, which has the true terminal as a child. Variable 1's
+        # lo branch enters node 11, which has the false terminal as a child,
+        # so that branch has probability zero.
+        monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 8)  # three threads really split
+        lines = ["prob 1.0", "nvars 6", "nnodes 15", "0 F", "1 T",
+                 "2 D 4 1 1 0.3 0.7", "3 D 5 0 1 0.4 0.6", "4 D 6 1 0 0.2 0.8", "5 A 2 3 4", "6 A 2 2 5",
+                 "7 D 6 1 1 0.5 0.5", "8 D 5 7 4 0.35 0.65", "9 A 3 2 8 1", "10 D 2 6 9 0.45 0.55",
+                 "11 A 2 0 10", "12 D 1 11 10 0.5 0.5", "13 D 3 1 1 0.25 0.75", "14 A 2 12 13", "root 14"]
+        prob = import_prob("\n".join(lines) + "\n")
+        assert prob.smooth and not find_violations(prob)
+        order = prob.topo_order()
+        phi, p_hi = annotate_branches(prob, LOG)
+        assert 11 not in phi and p_hi[12] == 1.0
+        for k in (1, 7, 1000):
+            expected = reference_pass(prob, order, phi, p_hi, 0, k, 29)
+            assert (expected[:, 0] & 1).all()  # never the zero-probability branch
+            for threads in (1, 3):
+                assert sample(prob, k, 29, threads=threads).masks.tobytes() == expected.tobytes()
 
 
 class TestCoinStreams:
