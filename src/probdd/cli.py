@@ -29,7 +29,7 @@ from .errors import (
 )
 from .oracle import MAX_ORACLE_VARS, compare, exact_distribution, occurrence_histogram, occurrence_histogram_csv
 from .prob import ARITHMETICS, FALSE_ID, Prob, annotate, find_violations, parameterize, smooth
-from .sampler import run_incremental, round_reports_csv, sample
+from .sampler import VISITS_PER_WORKER, run_incremental, round_reports_csv, sample
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -164,7 +164,7 @@ def cmd_smooth(args) -> int:
 
 def cmd_sample(args) -> int:
     _, prob, _ = _prepare_diagram(args)
-    batch = sample(prob, args.k, _resolve_seed(args), mode=args.mode, threads=args.threads)
+    batch = sample(prob, args.k, _resolve_seed(args), mode=args.mode)
     _write(args.out, batch.model_line_blocks())
     return EXIT_OK
 
@@ -179,7 +179,6 @@ def cmd_inc(args) -> int:
         seed=_resolve_seed(args),
         ordering=choose_ordering(formula, args.ordering),
         mode=args.mode,
-        threads=args.threads,
         max_vars=args.max_vars,
     )
     sys.stdout.write(round_reports_csv(reports))
@@ -215,7 +214,7 @@ def cmd_check(args) -> int:
 
 def cmd_dist(args) -> int:
     formula, prob, weights = _prepare_diagram(args)
-    batch = sample(prob, args.k, _resolve_seed(args), mode=args.mode, threads=args.threads)
+    batch = sample(prob, args.k, _resolve_seed(args), mode=args.mode)
     if formula.num_vars <= MAX_ORACLE_VARS:
         exact = exact_distribution(formula, weights)
         report = compare(batch, exact)
@@ -248,13 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compilation guard on the variable count")
         if sampling:
             p.add_argument("--weights", help="literal weight file (default: uniform)")
-            p.add_argument("-k", type=_positive_int, default=100, help="samples per round")
+            p.add_argument("-k", type=_positive_int, default=100, help=f"samples per round; at k * variables >= "
+                           f"{2 * VISITS_PER_WORKER:,}, sampling runs a thread per {VISITS_PER_WORKER:,}, one per CPU at most")
             p.add_argument("--seed", type=int, default=None,
                            help=f"RNG seed (falls back to ${SEED_ENV_VAR}, then 1)")
             p.add_argument("--mode", choices=list(ARITHMETICS), default="log",
                            help="annotation arithmetic")
-            p.add_argument("--threads", type=_positive_int, default=1,
-                           help="worker threads for the sampling pass (at most the CPU count)")
 
     p_compile = sub.add_parser("compile", help="compile a CNF into a diagram file")
     add_common(p_compile)

@@ -363,7 +363,7 @@ def import_prob(text: str) -> Prob:
     if num_vars < 0 or num_nodes < 2:
         raise ParseError("nvars must be non-negative and nnodes at least 2")
     if len(lines) != 3 + num_nodes + 1:
-        raise ParseError(f"expected {num_nodes} node lines plus a root line")
+        raise ParseError(f"expected {num_nodes} node lines plus a root line, found {len(lines) - 3} lines after nnodes")
 
     prob = Prob(num_vars)
     saw_theta: bool | None = None
@@ -389,7 +389,7 @@ def import_prob(text: str) -> Prob:
             if saw_theta is None:
                 saw_theta = has_theta
             elif saw_theta != has_theta:
-                raise ParseError("branch parameters must appear on all decision lines or none")
+                raise ParseError(f"node {nid}: branch parameters must appear on all decision lines or none")
             if has_theta:
                 node = prob.nodes[made]
                 try:

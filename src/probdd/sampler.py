@@ -19,10 +19,10 @@ Randomness is counter-based: every variable owns a Philox stream keyed
 by (seed, variable), and sample index i consumes draw i of it at
 whichever decision on that variable it reaches, the only one it meets in
 a deterministic, decomposable diagram. Batches are therefore
-reproducible and independent of evaluation order and of the arena's
-layout, and a batch may be split across worker threads without changing
-its result. Each worker draws a variable's coins for all its samples as
-one row, through one re-keyed generator.
+reproducible and independent of evaluation order, of the arena's layout
+and of the thread split sample sizes from its k * num_vars decision
+visits. Each worker draws a variable's coins for all its samples as one
+row, through one re-keyed generator.
 
 All that sample reads of the structure is one list, Prob.plan(): each
 reachable node with its kind, children and variable, children first
@@ -63,6 +63,7 @@ MASK64 = (1 << 64) - 1
 _BLOCK_BYTES = 1 << 20
 # Row b of _BYTE_BITS holds the bits of byte value b, least significant first, as masks store variables.
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+VISITS_PER_WORKER = 2_000_000  # decision visits (k * num_vars) per worker thread of a drawing pass
 
 
 @dataclass
@@ -216,7 +217,7 @@ def _route(plan: Structure, p_hi: dict[int, float], seed: int, start: int, out: 
                 reach.setdefault(child, []).append(child_idx)
 
 
-def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1) -> SampleBatch:
+def sample(prob: Prob, k: int, seed: int, *, mode: str = "log") -> SampleBatch:
     """Draw k models with replacement, weighted per the parameters.
 
     Each sample is distributed with probability W(assignment) / N where N
@@ -226,9 +227,10 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
     way: sample i's at a decision is draw i of its variable's stream,
     which relies on the determinism and decomposability that compile_cnf
     and import_prob guarantee (a sample meets at most one decision per
-    variable). threads > 1 splits the drawing pass across worker
-    threads, at most one per CPU and one per sample, without changing
-    the result. A k whose masks cannot be allocated raises GuardError.
+    variable). The drawing pass runs inline below 2 * VISITS_PER_WORKER
+    decision visits (k * num_vars), else on a thread per VISITS_PER_WORKER
+    visits, at most one per CPU and one per sample; no split changes the
+    result. A k whose masks cannot be allocated raises GuardError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -249,14 +251,13 @@ def sample(prob: Prob, k: int, seed: int, *, mode: str = "log", threads: int = 1
         masks = np.zeros((k, words), dtype=np.uint64)
     except (MemoryError, ValueError) as exc:  # numpy raises ValueError for "array is too big"
         raise GuardError(f"k={k} samples of {words} mask words cannot be allocated") from exc
-    workers = min(threads, k, os.cpu_count() or 1)
-    if workers <= 1:  # in the calling thread: a pool would add its own memory
+    workers = min(os.cpu_count() or 1, k, k * prob.num_vars // VISITS_PER_WORKER)
+    if workers <= 1:  # in the calling thread: a pool would add its start-up and its own memory
         _route(plan, p_hi, seed, 0, masks)
     else:
         bounds = [k * i // workers for i in range(workers + 1)]  # none empty, as workers <= k
-        ranges = zip(bounds, bounds[1:])
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda r: _route(plan, p_hi, seed, r[0], masks[r[0] : r[1]]), ranges))
+            list(pool.map(lambda start, stop: _route(plan, p_hi, seed, start, masks[start:stop]), bounds, bounds[1:]))
     return SampleBatch(masks=masks, num_vars=prob.num_vars, root_log_prob=arith.log(phi[prob.root]))
 
 
@@ -328,7 +329,6 @@ def run_incremental(
     seed: int = 1,
     ordering: VariableOrdering | None = None,
     mode: str = "log",
-    threads: int = 1,
     max_vars: int = DEFAULT_MAX_VARS,
 ) -> list[RoundReport]:
     """Compile once, then sample over multiple rounds with evolving weights.
@@ -336,7 +336,8 @@ def run_incremental(
     Round 1 compiles, smooths, parameterizes with the initial weights
     and samples. Every later round derives new weights from the previous
     round's samples via `rule`, re-parameterizes the persisted diagram
-    and samples again, so compilation cost is paid exactly once.
+    and samples again, so compilation cost is paid exactly once. Each
+    round's pass is split as sample splits it.
     """
     if rounds < 1 or k < 1:
         raise ValueError("rounds and k must be at least 1")
@@ -357,7 +358,7 @@ def run_incremental(
         update_weights(prob, weights)
         param_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        batch = sample(prob, k, round_seed(seed, rnd), mode=mode, threads=threads)
+        batch = sample(prob, k, round_seed(seed, rnd), mode=mode)
         sample_s = time.perf_counter() - t0
         reports.append(
             RoundReport(

@@ -47,14 +47,19 @@ def random_weights(rng: random.Random, num_vars: int, low: float = 0.1, high: fl
     )
 
 
-def constrained_instances(seed: int, count: int, max_vars: int, max_models: int):
-    """Satisfiable random formulas with a support small enough for tight TV bounds."""
+def constrained_instances(seed: int, count: int, max_vars: int, max_models: int, min_models: int = 1,
+                          clauses: tuple[int, int] = (2, 3)):
+    """Satisfiable random formulas with a support small enough for tight TV bounds.
+
+    Each has 4 to max_vars variables, clauses[0] * n to clauses[1] * n
+    clauses over its n variables, and min_models to max_models models.
+    """
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         n = rng.randint(4, max_vars)
-        formula = random_mixed_cnf(rng, n, rng.randint(2 * n, 3 * n))
-        if 1 <= len(model_masks(formula)) <= max_models:
+        formula = random_mixed_cnf(rng, n, rng.randint(clauses[0] * n, clauses[1] * n))
+        if min_models <= len(model_masks(formula)) <= max_models:
             out.append(formula)
     return out
 
@@ -135,10 +140,21 @@ def compile_heavy_formula() -> CnfFormula:
     return random_k_cnf(random.Random(1), 28, 100)
 
 
+def force_split(monkeypatch, cpus: int) -> None:
+    """Make sample split each pass over a diagram with variables into min(cpus, k) workers.
+
+    sample takes one worker per VISITS_PER_WORKER decision visits (k *
+    num_vars), at most one per CPU and one per sample, so with one visit
+    per worker only the CPU count and k cap the split.
+    """
+    monkeypatch.setattr("probdd.sampler.VISITS_PER_WORKER", 1)
+    monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: cpus)
+
+
 def record_pools(monkeypatch) -> list[int]:
     """Swap the sampler's thread pool for one that records max_workers and runs the work inline.
 
-    No thread is started, so a test may ask for any thread count.
+    No thread is started, so a test may force any worker count.
     """
     sizes: list[int] = []
 
@@ -152,8 +168,8 @@ def record_pools(monkeypatch) -> list[int]:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr("probdd.sampler.ThreadPoolExecutor", InlinePool)
     return sizes

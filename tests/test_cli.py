@@ -12,7 +12,7 @@ from probdd import (choose_ordering, compile_cnf, export_prob, parameterize, par
 from probdd.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, _write, main
 from probdd.sampler import SampleBatch
 
-from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, mutated_exports, mutated_inputs, record_pools
+from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, force_split, mutated_exports, mutated_inputs, record_pools
 
 NON_SMOOTH_PROB = "prob 1.0\nnvars 3\nnnodes 5\n0 F\n1 T\n2 D 2 0 1\n3 D 3 1 0\n4 D 1 2 3\nroot 4\n"
 
@@ -126,9 +126,8 @@ class TestSampleCommand:
         serial, split = tmp_path / "serial.txt", tmp_path / "split.txt"
         assert main(["sample", "--cnf", cnf_file, "-k", "1000", "--seed", "3", "--out", str(serial)]) == EXIT_OK
         sizes = record_pools(monkeypatch)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        argv = ["sample", "--cnf", cnf_file, "-k", "1000", "--seed", "3", "--threads", "100000", "--out", str(split)]
-        assert main(argv) == EXIT_OK
+        force_split(monkeypatch, 4)
+        assert main(["sample", "--cnf", cnf_file, "-k", "1000", "--seed", "3", "--out", str(split)]) == EXIT_OK
         assert sizes == [4]
         assert split.read_text() == serial.read_text()
 
@@ -287,8 +286,6 @@ class TestCountArguments:
             ["dist", "-k", "0"],
             ["inc", "--rounds", "0"],
             ["inc", "-k", "0"],
-            ["sample", "--threads", "0"],
-            ["inc", "--threads", "-2"],
         ],
     )
     def test_non_positive_count_is_usage_error(self, cnf_file, capsys, argv):

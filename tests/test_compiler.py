@@ -345,6 +345,10 @@ class TestTextFormat:
             ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 x 0.5\nroot 2\n", "node 2: bad parameter field"),
             ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 0.5 nan\nroot 2\n", "node 2: parameters must be finite"),
             ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 -0.5 1.5\nroot 2\n", "node 2: parameters must be non-negative"),
+            ("prob 1.0\nnvars 2\nnnodes 5\n0 F\n1 T\n2 D 1 0 1\n3 D 2 0 1\n4 D 2 1 0 0.5 0.5\nroot 4\n",
+             "node 4: branch parameters must appear on all decision lines or none"),
+            ("prob 1.0\nnvars 0\nnnodes 5\n0 F\n1 T\n# comments and blank lines do not count\n\nroot 1\nroot 1\n",
+             "expected 5 node lines plus a root line, found 4 lines after nnodes"),
         ],
     )
     def test_import_rejects_malformed_lines(self, text, message):

@@ -37,13 +37,14 @@ from probdd import (
 from probdd.errors import StructureError, ZeroProbabilityError
 from probdd.oracle import satisfies_masks
 from probdd.prob import ARITHMETICS, FALSE_ID, LOG, TRUE_ID, Prob, annotate_branches
-from probdd.sampler import SampleBatch, _Coins, round_reports_csv, round_seed
+from probdd.sampler import VISITS_PER_WORKER, SampleBatch, _Coins, round_reports_csv, round_seed
 
 from helpers import (
     EXAMPLE_DIMACS,
     EXAMPLE_WEIGHTS,
     compile_heavy_formula,
     constrained_instances,
+    force_split,
     fresh_uniforms,
     naive_satisfies,
     random_mixed_cnf,
@@ -67,17 +68,19 @@ class TestSample:
         assert np.array_equal(first.masks, second.masks)
         assert not np.array_equal(first.masks, sample(prob, 500, seed=100).masks)
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
         _, prob = example_prob()
         base = sample(prob, 1001, seed=5)
-        for threads in (2, 3, 7):
-            split = sample(prob, 1001, seed=5, threads=threads)
+        for cpus in (2, 3, 7):
+            force_split(monkeypatch, cpus)
+            split = sample(prob, 1001, seed=5)
             assert np.array_equal(base.masks, split.masks)
 
-    def test_rational_mode_threads_equivalence(self):
+    def test_rational_mode_threads_equivalence(self, monkeypatch):
         _, prob = example_prob()
         base = sample(prob, 500, seed=5, mode="rational")
-        split = sample(prob, 500, seed=5, mode="rational", threads=3)
+        force_split(monkeypatch, 3)
+        split = sample(prob, 500, seed=5, mode="rational")
         assert np.array_equal(base.masks, split.masks)
 
     def test_all_samples_satisfy(self):
@@ -430,7 +433,6 @@ class TestTopDownRouting:
     """sample routes each sample top-down; the bottom-up pass it replaced is the reference."""
 
     def test_masks_match_bottom_up_reference(self, monkeypatch):
-        monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 8)  # three threads really split
         seen = {"words": set(), "forced": 0, "shared": 0}
         for prob in routing_instances(404, 40):
             order = prob.topo_order()
@@ -445,8 +447,9 @@ class TestTopDownRouting:
                 seed = random.Random(k + len(order)).randrange(2**63)
                 expected = reference_pass(prob, order, phi, p_hi, 0, k, seed)
                 seen["words"].add(expected.shape[1])
-                for threads in (1, 3):
-                    got = sample(prob, k, seed, threads=threads).masks
+                for cpus in (1, 3):
+                    force_split(monkeypatch, cpus)
+                    got = sample(prob, k, seed).masks
                     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
         assert seen["words"] == {1, 2, 3}
         assert seen["forced"] > 0 and seen["shared"] > 0
@@ -498,7 +501,6 @@ class TestTopDownRouting:
         # copy laid out differently samples the same masks. Shuffled
         # conjunction children change the products' rounding in log space,
         # so that copy is compared in exact rational annotation.
-        monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 4)  # so that threads really split
         rng = random.Random(17)
         for prob in property_diagrams()[:4]:
             text = export_prob(prob)
@@ -508,30 +510,53 @@ class TestTopDownRouting:
                 assert export_prob(copy) == text or shuffle
                 for k in (1, 1000):
                     seed = rng.randrange(2**64)
+                    force_split(monkeypatch, 1)
                     expected = sample(prob, k, seed, mode=mode).masks.tobytes()
-                    for threads in (1, 2, 3):
-                        assert sample(copy, k, seed, mode=mode, threads=threads).masks.tobytes() == expected
+                    for cpus in (1, 2, 3):
+                        force_split(monkeypatch, cpus)
+                        assert sample(copy, k, seed, mode=mode).masks.tobytes() == expected
 
     @given(st.data(), st.integers(0, 2**63 - 1), st.integers(1, 3000), st.integers(1, 4))
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_export_import_threads_and_prefixes_keep_masks(self, monkeypatch, data, seed, k, threads):
-        monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 4)  # so that threads really split
+    def test_export_import_threads_and_prefixes_keep_masks(self, monkeypatch, data, seed, k, cpus):
         prob = data.draw(st.sampled_from(property_diagrams()), label="prob")
         m = data.draw(st.integers(1, k), label="m")
         expected = sample(prob, k, seed)
-        got = sample(import_prob(export_prob(prob)), k, seed, threads=threads)
+        force_split(monkeypatch, cpus)
+        got = sample(import_prob(export_prob(prob)), k, seed)
+        monkeypatch.undo()
         assert got.masks.tobytes() == expected.masks.tobytes()
         assert got.root_log_prob == expected.root_log_prob
         assert sample(prob, m, seed).masks.tobytes() == expected.masks[:m].tobytes()
 
+    def test_passes_below_two_workers_of_visits_run_inline(self, monkeypatch):
+        # A sample meets one decision per variable, so a pass makes k * num_vars
+        # decision visits. The benchmark's rounds on this diagram, at k = 1,000
+        # and 100,000, stay in the calling thread.
+        prob = smooth(compile_cnf(compile_heavy_formula()))
+        parameterize(prob, WeightFunction.uniform())
+        sizes = record_pools(monkeypatch)
+        monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 8)
+        n = prob.num_vars
+        for k in (1, 1000, 100_000, (2 * VISITS_PER_WORKER - 1) // n):
+            sample(prob, k, seed=3)
+        assert sizes == []
+        for k in (-(-2 * VISITS_PER_WORKER // n), -(-3 * VISITS_PER_WORKER // n)):
+            sample(prob, k, seed=3)
+        assert sizes == [2, 3]
+
     def test_thread_pool_capped_by_cpus_and_samples(self, monkeypatch):
+        # One worker per VISITS_PER_WORKER decision visits, here 10 of the example's 3 variables.
         _, prob = example_prob()
         base = sample(prob, 50, seed=3).masks
         sizes = record_pools(monkeypatch)
         monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 4)
-        for k, threads in ((50, 10**5), (3, 10**5), (50, 2), (50, 1)):
-            assert sample(prob, k, seed=3, threads=threads).masks.tobytes() == base[:k].tobytes()
-        assert sizes == [4, 3, 2]
+        monkeypatch.setattr("probdd.sampler.VISITS_PER_WORKER", 10)
+        for k in (6, 7, 10, 20, 50):
+            assert sample(prob, k, seed=3).masks.tobytes() == base[:k].tobytes()
+        monkeypatch.setattr("probdd.sampler.VISITS_PER_WORKER", 1)
+        assert sample(prob, 3, seed=3).masks.tobytes() == base[:3].tobytes()
+        assert sizes == [2, 3, 4, 4, 3]
 
     def test_variable_free_conjunctions_stay_small(self):
         # Conjunctions over the true terminal mention no variable, so one
@@ -560,7 +585,6 @@ class TestTopDownRouting:
         # branch node 9, which has the true terminal as a child. Variable 1's
         # lo branch enters node 11, which has the false terminal as a child,
         # so that branch has probability zero.
-        monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 8)  # three threads really split
         lines = ["prob 1.0", "nvars 6", "nnodes 15", "0 F", "1 T",
                  "2 D 4 1 1 0.3 0.7", "3 D 5 0 1 0.4 0.6", "4 D 6 1 0 0.2 0.8", "5 A 2 3 4", "6 A 2 2 5",
                  "7 D 6 1 1 0.5 0.5", "8 D 5 7 4 0.35 0.65", "9 A 3 2 8 1", "10 D 2 6 9 0.45 0.55",
@@ -573,8 +597,9 @@ class TestTopDownRouting:
         for k in (1, 7, 1000):
             expected = reference_pass(prob, order, phi, p_hi, 0, k, 29)
             assert (expected[:, 0] & 1).all()  # never the zero-probability branch
-            for threads in (1, 3):
-                assert sample(prob, k, 29, threads=threads).masks.tobytes() == expected.tobytes()
+            for cpus in (1, 3):
+                force_split(monkeypatch, cpus)
+                assert sample(prob, k, 29).masks.tobytes() == expected.tobytes()
 
 
 class TestCoinStreams:
@@ -596,7 +621,6 @@ class TestCoinStreams:
                 assert coins.uniforms(var, idx).tobytes() == expected[idx].tobytes()
 
     def test_routed_coins_match_fresh_philox(self, monkeypatch):
-        monkeypatch.setattr("probdd.sampler.os.cpu_count", lambda: 4)  # so that threads really split
         init, uniforms = _Coins.__init__, _Coins.uniforms
         calls = []
 
@@ -615,17 +639,19 @@ class TestCoinStreams:
         prob = smooth(compile_cnf(formula))
         parameterize(prob, random_weights(random.Random(7), formula.num_vars))
         k = 20003  # splits start at every residue mod 4 across 2-4 threads
-        seen = {"threads": set(), "residues": set()}
+        seen = {"cpus": set(), "residues": set()}
         for seed in (12345, 2**64 + 99, 2**70 + 5):
+            force_split(monkeypatch, 1)
             expected = sample(prob, k, seed).masks
-            for threads in (1, 2, 3, 4):
+            for cpus in (1, 2, 3, 4):
+                force_split(monkeypatch, cpus)
                 calls.clear()
-                assert sample(prob, k, seed, threads=threads).masks.tobytes() == expected.tobytes()
+                assert sample(prob, k, seed).masks.tobytes() == expected.tobytes()
                 for var, idx, start, count, got in calls:
                     assert got.tobytes() == fresh_uniforms(seed, var, start, start + count)[idx].tobytes()
-                    seen["threads"].add(threads)
+                    seen["cpus"].add(cpus)
                     seen["residues"].add(start % 4)
-        assert seen["threads"] == {1, 2, 3, 4}
+        assert seen["cpus"] == {1, 2, 3, 4}
         assert seen["residues"] == {0, 1, 2, 3}
 
 
@@ -640,7 +666,8 @@ class TestSamplingPlan:
         for seed in range(5):
             sample(prob, 100, seed)
         update_weights(prob, WeightFunction.uniform())
-        sample(prob, 100, 5, mode="rational", threads=2)
+        force_split(monkeypatch, 2)
+        sample(prob, 100, 5, mode="rational")
         assert len(calls) == 1
 
     def test_annotation_reads_the_stored_plan(self, monkeypatch):
@@ -1042,14 +1069,17 @@ def sampling_digest() -> str:
     """SHA-256 over the masks and root log probabilities of a fixed set of batches.
 
     Covers the 28-variable compile-heavy instance over five reweighted
-    rounds in both arithmetics and with one and two threads, plus small
-    random formulas whose literal weights include zero and extreme values.
+    rounds in both arithmetics and split over one and two threads, plus
+    small random formulas whose literal weights include zero and extreme
+    values.
     """
     digest = hashlib.sha256()
 
     def draw(prob, k, seed, mode, threads):
         try:
-            batch = sample(prob, k, seed, mode=mode, threads=threads)
+            with pytest.MonkeyPatch.context() as patch:
+                force_split(patch, threads)
+                batch = sample(prob, k, seed, mode=mode)
         except ZeroProbabilityError:
             digest.update(b"zero")
             return None
