@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -216,18 +216,35 @@ class Prob:
         return counts
 
 
-def var_sets(prob: Prob) -> dict[int, frozenset[int]]:
-    """Per-node variable sets of the reachable nodes, in topo_order (children first)."""
-    kappa: dict[int, frozenset[int]] = {}
+def var_sets(prob: Prob) -> dict[int, int]:
+    """Per-node variable sets of the reachable nodes, in topo_order (children first).
+
+    Each set is one Python int with bit v set for each variable v the
+    node mentions; bit 0 is never set, and the terminals hold 0. Every
+    variable set in this module is such a mask: union is |, intersection
+    &, difference a & ~b, and mask_variables lists the variables.
+    """
+    nodes = prob.nodes
+    masks: dict[int, int] = {}
     for nid in prob.topo_order():
-        node = prob.nodes[nid]
-        if node.kind in ("T", "F"):
-            kappa[nid] = frozenset()
-        elif node.kind == "A":
-            kappa[nid] = frozenset().union(*(kappa[c] for c in node.children))
+        node = nodes[nid]
+        kind = node.kind
+        if kind == "D":
+            masks[nid] = masks[node.lo] | masks[node.hi] | 1 << node.var
+        elif kind == "A":
+            mask = 0
+            for child in node.children:
+                mask |= masks[child]
+            masks[nid] = mask
         else:
-            kappa[nid] = kappa[node.lo] | kappa[node.hi] | {node.var}
-    return kappa
+            masks[nid] = 0
+    return masks
+
+
+def mask_variables(mask: int) -> list[int]:
+    """The variables of a var_sets mask, ascending."""
+    digits = bin(mask)[:1:-1]  # digits[v] is bit v
+    return [var for var, digit in enumerate(digits) if digit == "1"]
 
 
 @dataclass(frozen=True)
@@ -245,33 +262,41 @@ def find_violations(prob: Prob) -> list[Violation]:
     mention pairwise disjoint variables; smoothness requires equal
     variable sets on the two branches of every decision node, plus full
     variable coverage at the root so every sampled mask is complete.
+    Each test is an int operation on the var_sets masks of the node and
+    its children; a detail names variables in ascending order, and the
+    root's at most the first ten it misses.
     """
     kappa = var_sets(prob)
+    nodes = prob.nodes
     violations: list[Violation] = []
     for nid in kappa:  # the reachable nodes, children first
-        node = prob.nodes[nid]
+        node = nodes[nid]
         if node.kind == "D":
-            below = kappa[node.lo] | kappa[node.hi]
-            if node.var in below:
+            lo, hi = kappa[node.lo], kappa[node.hi]
+            if (lo | hi) >> node.var & 1:
                 violations.append(Violation("determinism", nid, f"variable {node.var} decided again below node {nid}"))
-            if kappa[node.lo] != kappa[node.hi]:
-                diff = kappa[node.lo] ^ kappa[node.hi]
-                violations.append(Violation("smoothness", nid, f"branches of node {nid} differ on variables {sorted(diff)}"))
+            if lo != hi:
+                diff = mask_variables(lo ^ hi)
+                violations.append(Violation("smoothness", nid, f"branches of node {nid} differ on variables {diff}"))
         elif node.kind == "A":
-            covered: set[int] = set()
+            covered = 0
             for child in node.children:
                 overlap = covered & kappa[child]
                 if overlap:
-                    violations.append(
-                        Violation("decomposability", nid, f"children of node {nid} share variables {sorted(overlap)}")
-                    )
+                    shared = mask_variables(overlap)
+                    violations.append(Violation("decomposability", nid, f"children of node {nid} share variables {shared}"))
                     break
                 covered |= kappa[child]
-    covered = kappa.get(prob.root, frozenset())
-    if prob.root != FALSE_ID and len(covered) < prob.num_vars:  # the root's variables lie in 1..num_vars
-        # name only the first few missing variables, so the cost does not grow with num_vars
-        first = list(islice((v for v in range(1, prob.num_vars + 1) if v not in covered), 10))
-        detail = f"diagram never mentions {prob.num_vars - len(covered)} variables, first {first}"
+    covered = kappa.get(prob.root, 0)
+    mentioned = covered.bit_count()
+    if prob.root != FALSE_ID and mentioned < prob.num_vars:  # the root's variables lie in 1..num_vars
+        # Name only the first few missing variables, building no mask or list that grows
+        # with num_vars: the gaps below the highest variable the root mentions, then the
+        # variables above it.
+        top = covered.bit_length()
+        gaps = ~covered & ((1 << top) - 2) if top else 0
+        first = list(islice(chain(mask_variables(gaps), range(max(top, 1), prob.num_vars + 1)), 10))
+        detail = f"diagram never mentions {prob.num_vars - mentioned} variables, first {first}"
         violations.append(Violation("smoothness", prob.root, detail))
     return violations
 
@@ -285,17 +310,20 @@ def parameterize(prob: Prob, weights: WeightFunction) -> Prob:
     whose sum overflows is first divided by its larger weight. The sum
     is positive, as WeightFunction rejects a pair that is both zero.
     """
+    thetas: dict[int, tuple[float, float]] = {}  # per variable, its (theta_lo, theta_hi)
     for node in prob.nodes:
         if node.kind != "D":
             continue
-        w_neg, w_pos = weights.pair(node.var)
-        total = w_neg + w_pos
-        if math.isinf(total):
-            top = max(w_neg, w_pos)
-            w_neg, w_pos = w_neg / top, w_pos / top
+        pair = thetas.get(node.var)
+        if pair is None:
+            w_neg, w_pos = weights.pair(node.var)
             total = w_neg + w_pos
-        node.theta_lo = w_neg / total
-        node.theta_hi = w_pos / total
+            if math.isinf(total):
+                top = max(w_neg, w_pos)
+                w_neg, w_pos = w_neg / top, w_pos / top
+                total = w_neg + w_pos
+            pair = thetas[node.var] = (w_neg / total, w_pos / total)
+        node.theta_lo, node.theta_hi = pair
     return prob
 
 
@@ -310,7 +338,9 @@ def smooth(prob: Prob) -> Prob:
     the same way, so samples always cover every variable. The model set
     is unchanged. A diagram already smooth at its root is returned as-is.
     One whose root misses more than MAX_ROOT_DONT_CARES variables raises
-    GuardError and is left unchanged.
+    GuardError and is left unchanged. A branch's missing variables are
+    the var_sets mask difference of the two branches, and the wrapped
+    conjunctions are shared per (child, missing mask).
     """
     if prob.smooth or prob.root == FALSE_ID:
         prob.smoothed_root = prob.root
@@ -318,7 +348,7 @@ def smooth(prob: Prob) -> Prob:
     # Smoothing only adds variables the other branch already covers, so
     # every node's variable set before smoothing is also its final set.
     kappa = var_sets(prob)
-    unmentioned = prob.num_vars - len(kappa[prob.root])
+    unmentioned = prob.num_vars - kappa[prob.root].bit_count()
     if unmentioned > MAX_ROOT_DONT_CARES:
         raise GuardError(f"diagram never mentions {unmentioned} of its {prob.num_vars} variables; "
                          f"smoothing adds at most {MAX_ROOT_DONT_CARES} don't-care decisions at the root")
@@ -329,7 +359,7 @@ def smooth(prob: Prob) -> Prob:
     for nid, node in enumerate(prob.nodes):
         if node.kind == "D" and node.lo == TRUE_ID and node.hi == TRUE_ID:
             dont_care.setdefault(node.var, nid)
-    wrap_cache: dict[tuple[int, frozenset[int]], int] = {}
+    wrap_cache: dict[tuple[int, int], int] = {}  # (child, missing variables) -> the wrapped node
 
     def dc_node(var: int) -> int:
         nid = dont_care.get(var)
@@ -338,7 +368,7 @@ def smooth(prob: Prob) -> Prob:
             dont_care[var] = nid
         return nid
 
-    def wrap(child: int, missing: frozenset[int]) -> int:
+    def wrap(child: int, missing: int) -> int:
         key = (child, missing)
         cached = wrap_cache.get(key)
         if cached is not None:
@@ -349,7 +379,7 @@ def smooth(prob: Prob) -> Prob:
             base = list(prob.nodes[child].children)  # keep conjunctions flat
         else:
             base = [child]
-        kids = base + [dc_node(v) for v in sorted(missing)]
+        kids = base + [dc_node(v) for v in mask_variables(missing)]
         if len(kids) == 1:
             new = kids[0]
         else:
@@ -360,13 +390,14 @@ def smooth(prob: Prob) -> Prob:
     for nid in kappa:  # the reachable nodes, children first
         node = prob.nodes[nid]
         if node.kind == "D":
-            lo_set, hi_set = kappa[node.lo], kappa[node.hi]
-            if hi_set - lo_set:
-                node.lo = wrap(node.lo, hi_set - lo_set)
-            if lo_set - hi_set:
-                node.hi = wrap(node.hi, lo_set - hi_set)
+            lo, hi = kappa[node.lo], kappa[node.hi]
+            if hi & ~lo:
+                node.lo = wrap(node.lo, hi & ~lo)
+            if lo & ~hi:
+                node.hi = wrap(node.hi, lo & ~hi)
 
-    missing_root = frozenset(range(1, prob.num_vars + 1)) - kappa[prob.root]
+    # Past the guard, so this mask of all num_vars variables is bounded.
+    missing_root = ((1 << (prob.num_vars + 1)) - 2) & ~kappa[prob.root]
     if missing_root:
         prob.root = wrap(prob.root, missing_root)
     prob.smoothed_root = prob.root
@@ -512,9 +543,9 @@ def weighted_model_count(prob: Prob, weights: WeightFunction, mode: str = "log")
         return math.inf
 
 
-def _expand_free(masks: np.ndarray, free_vars: Iterable[int]) -> np.ndarray:
-    """Duplicate each mask over both values of every unconstrained variable."""
-    for var in sorted(free_vars):
+def _expand_free(masks: np.ndarray, free: int) -> np.ndarray:
+    """Duplicate each mask over both values of every variable in free, a var_sets mask."""
+    for var in mask_variables(free):
         bit = np.uint64(1 << (var - 1))
         masks = np.concatenate([masks, masks | bit])
     return masks
@@ -546,9 +577,9 @@ def diagram_models(prob: Prob) -> np.ndarray:
             sets[nid] = acc
         else:
             bit = np.uint64(1 << (node.var - 1))
-            scope = kappa[nid] - {node.var}
-            lo = _expand_free(sets[node.lo], scope - kappa[node.lo])
-            hi = _expand_free(sets[node.hi], scope - kappa[node.hi])
+            scope = kappa[nid] & ~(1 << node.var)
+            lo = _expand_free(sets[node.lo], scope & ~kappa[node.lo])
+            hi = _expand_free(sets[node.hi], scope & ~kappa[node.hi])
             sets[nid] = np.concatenate([lo, hi | bit])
-    models = _expand_free(sets[prob.root], frozenset(range(1, prob.num_vars + 1)) - kappa[prob.root])
+    models = _expand_free(sets[prob.root], ((1 << (prob.num_vars + 1)) - 2) & ~kappa[prob.root])
     return np.sort(models)

@@ -94,6 +94,27 @@ def violated(prob) -> set[str]:
     return {v.property_name for v in find_violations(prob)}
 
 
+def mask_set(mask: int) -> set[int]:
+    """The variables of a var_sets mask (bit v is variable v), read off its binary digits."""
+    return {var for var, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"}
+
+
+def naive_var_sets(prob) -> dict[int, frozenset[int]]:
+    """Every reachable node's variables as a frozenset, bottom-up from an explicit stack: var_sets' reference."""
+    sets: dict[int, frozenset[int]] = {}
+    stack = [prob.root]
+    while stack:
+        node = prob.nodes[stack[-1]]
+        kids = (node.lo, node.hi) if node.kind == "D" else node.children
+        pending = [child for child in kids if child not in sets]
+        if pending:
+            stack.extend(pending)
+            continue
+        own = {node.var} if node.kind == "D" else set()
+        sets[stack.pop()] = frozenset(own).union(*(sets[child] for child in kids))
+    return sets
+
+
 def naive_satisfies(clauses, values) -> bool:
     """Clause-by-clause check over a var -> bool mapping, independent of the package's mask code."""
     for clause in clauses:

@@ -349,6 +349,11 @@ class TestTextFormat:
              "node 4: branch parameters must appear on all decision lines or none"),
             ("prob 1.0\nnvars 0\nnnodes 5\n0 F\n1 T\n# comments and blank lines do not count\n\nroot 1\nroot 1\n",
              "expected 5 node lines plus a root line, found 4 lines after nnodes"),
+            ("prob 1.0\nnvars 0\nnnodes 2\n0 F\n1 T\nroot 1\nroot 1\n",
+             "expected 2 node lines plus a root line, found 4 lines after nnodes"),
+            # the count is reported ahead of the faulty node line 2
+            ("prob 1.0\nnvars 1\nnnodes 4\n0 F\n1 T\n2 Q\nroot 2\n",
+             "expected 4 node lines plus a root line, found 4 lines after nnodes"),
         ],
     )
     def test_import_rejects_malformed_lines(self, text, message):

@@ -32,9 +32,18 @@ from probdd import (
 )
 from probdd.errors import GuardError, StructureError, WeightError
 from probdd.oracle import satisfies_masks
-from probdd.prob import FALSE_ID, MAX_ROOT_DONT_CARES, TRUE_ID, Node
+from probdd.prob import FALSE_ID, MAX_ROOT_DONT_CARES, TRUE_ID, Node, Violation
 
-from helpers import EXAMPLE_DIMACS, EXAMPLE_MODELS, random_mixed_cnf, random_weights, violated
+from helpers import (
+    EXAMPLE_DIMACS,
+    EXAMPLE_MODELS,
+    compile_heavy_formula,
+    mask_set,
+    naive_var_sets,
+    random_mixed_cnf,
+    random_weights,
+    violated,
+)
 
 NEG_INF = float("-inf")
 
@@ -60,20 +69,34 @@ class TestVarSets:
         _, prob = example_smooth
         kappa = var_sets(prob)
         root = prob.nodes[prob.root]
-        assert kappa[prob.root] == {1, 2, 3}
+        assert mask_set(kappa[prob.root]) == {1, 2, 3}
         lo_conj, hi_conj = prob.nodes[root.lo], prob.nodes[root.hi]
         assert lo_conj.kind == "A" and hi_conj.kind == "A"
-        assert {kappa[c] for c in lo_conj.children} == {frozenset({2}), frozenset({3})}
-        assert kappa[root.lo] == kappa[root.hi] == {2, 3}
+        assert {kappa[c] for c in lo_conj.children} == {1 << 2, 1 << 3}
+        assert kappa[root.lo] == kappa[root.hi]
+        assert mask_set(kappa[root.lo]) == {2, 3}
 
     def test_terminals_are_empty(self, example_smooth):
         _, prob = example_smooth
         kappa = var_sets(prob)
-        assert kappa[TRUE_ID] == frozenset()
+        assert kappa[TRUE_ID] == 0
 
     def test_pre_smooth_root_covers_all(self, example_pre_smooth):
         _, prob = example_pre_smooth
-        assert var_sets(prob)[prob.root] == {1, 2, 3}
+        assert mask_set(var_sets(prob)[prob.root]) == {1, 2, 3}
+
+    def test_matches_frozenset_reference(self):
+        rng = random.Random(29)
+        formulas = [random_mixed_cnf(rng, n, rng.randint(0, 2 * n)) for n in (rng.randint(1, 16) for _ in range(40))]
+        formulas.append(compile_heavy_formula())
+        formulas += [CnfFormula(n, tuple((-v, v + 1) for v in range(1, n))) for n in (70, 200)]  # implication chains
+        for formula in formulas:
+            prob = compile_cnf(formula, max_vars=formula.num_vars)
+            for _ in ("compiled", "smoothed"):
+                kappa = var_sets(prob)
+                assert list(kappa) == prob.topo_order()
+                assert {nid: frozenset(mask_set(mask)) for nid, mask in kappa.items()} == naive_var_sets(prob)
+                smooth(prob)
 
 
 class TestParameterize:
@@ -213,15 +236,15 @@ class TestSmooth:
     def test_free_variable_wrapped_at_root(self):
         formula = parse_dimacs("p cnf 3 1\n1 2 0\n")  # variable 3 unconstrained
         prob = compile_cnf(formula, choose_ordering(formula, "natural"))
-        assert 3 not in var_sets(prob)[prob.root]
+        assert 3 not in mask_set(var_sets(prob)[prob.root])
         smooth(prob)
-        assert var_sets(prob)[prob.root] == {1, 2, 3}
+        assert mask_set(var_sets(prob)[prob.root]) == {1, 2, 3}
         assert "smoothness" not in violated(prob)
 
     def test_zero_clause_formula_covers_all_vars(self):
         formula = CnfFormula(3, ())
         prob = smooth(compile_cnf(formula))
-        assert var_sets(prob)[prob.root] == {1, 2, 3}
+        assert mask_set(var_sets(prob)[prob.root]) == {1, 2, 3}
         assert set(int(m) for m in diagram_models(prob)) == set(range(8))
 
     def test_unsat_diagram_untouched(self):
@@ -248,7 +271,7 @@ class TestSmooth:
         with pytest.raises(GuardError):
             smooth(import_prob(f"prob 1.0\nnvars {MAX_ROOT_DONT_CARES + 2}\n{mentioned}"))
         prob = smooth(import_prob(f"prob 1.0\nnvars {MAX_ROOT_DONT_CARES + 1}\n{mentioned}"))
-        assert prob.smooth and len(var_sets(prob)[prob.root]) == MAX_ROOT_DONT_CARES + 1
+        assert prob.smooth and len(mask_set(var_sets(prob)[prob.root])) == MAX_ROOT_DONT_CARES + 1
 
     def test_preserves_models_on_random_formulas(self):
         rng = random.Random(11)
@@ -371,6 +394,24 @@ class TestCheckers:
         inner = prob.add_decision(1, FALSE_ID, TRUE_ID)
         prob.root = prob.add_decision(1, inner, TRUE_ID)
         assert "determinism" in violated(prob)
+
+    def test_violations_past_one_machine_word(self):
+        # Variables 64, 65 and 128 up sit past the first 64-bit word of a mask.
+        prob = Prob(140)
+        inner = prob.add_decision(64, FALSE_ID, TRUE_ID)
+        twice = prob.add_decision(64, inner, inner)
+        shared = prob.add_conj([prob.add_decision(65, FALSE_ID, TRUE_ID), prob.add_decision(65, TRUE_ID, FALSE_ID)])
+        uneven = prob.add_decision(1, prob.add_decision(128, FALSE_ID, TRUE_ID), prob.add_decision(130, FALSE_ID, TRUE_ID))
+        fillers = [prob.add_decision(v, FALSE_ID, TRUE_ID) for v in [*range(2, 64), *range(68, 127)]]
+        prob.root = prob.add_conj([twice, shared, uneven, *fillers])
+        assert set(find_violations(prob)) == {
+            Violation("determinism", twice, f"variable 64 decided again below node {twice}"),
+            Violation("decomposability", shared, f"children of node {shared} share variables [65]"),
+            Violation("smoothness", uneven, f"branches of node {uneven} differ on variables [128, 130]"),
+            Violation("smoothness", prob.root,
+                      "diagram never mentions 14 variables, first [66, 67, 127, 129, 131, 132, 133, 134, 135, 136]"),
+        }
+        assert {nid: frozenset(mask_set(mask)) for nid, mask in var_sets(prob).items()} == naive_var_sets(prob)
 
     def test_checkers_are_pure(self, example_pre_smooth):
         _, prob = example_pre_smooth
