@@ -328,119 +328,102 @@ def export_prob(prob: Prob) -> str:
 def import_prob(text: str) -> Prob:
     """Parse the text format back into a diagram.
 
-    One pass over the lines, dropping comments and blank lines as it
-    reads. Each node line is checked as the arena adds it: a child must
-    be an earlier node, which rules out cycles and dangling references.
+    Each node line is checked as the arena adds it: a child must be an
+    earlier node, which rules out cycles and dangling references.
     Branch parameters must be present on either all or none of the
     decision lines, and each pair is checked on its line: finite,
-    non-negative and summing to 1 within THETA_SUM_TOL. A file whose
-    line count does not match nnodes is reported as such, ahead of any
-    fault in its node lines. Determinism and decomposability are then
-    validated in one walk over the reachable nodes (find_violations),
-    and the root is recorded as smoothed_root when that walk finds it
-    smooth with full variable coverage.
+    non-negative and summing to 1 within THETA_SUM_TOL. Determinism and
+    decomposability are validated in one walk over the reachable nodes
+    (find_violations over the var_sets bitmasks), and the root is
+    recorded as smoothed_root when that walk finds it smooth with full
+    variable coverage.
     """
-    lines = (line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip()))
-    header = next(lines, "")
-    if not header.startswith("prob "):
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    if not lines or not lines[0].startswith("prob "):
         raise ParseError("missing 'prob <version>' header")
-    if header != FORMAT_HEADER:
-        raise ParseError(f"unsupported format version {header!r}")
+    if lines[0] != FORMAT_HEADER:
+        raise ParseError(f"unsupported format version {lines[0]!r}")
 
-    def expect_int_field(name: str) -> int:
-        line = next(lines, None)
-        if line is None:
+    def expect_int_field(index: int, name: str) -> int:
+        if index >= len(lines):
             raise ParseError(f"missing '{name}' line")
-        parts = line.split()
+        parts = lines[index].split()
         if len(parts) != 2 or parts[0] != name:
-            raise ParseError(f"expected '{name} <int>', got {line!r}")
+            raise ParseError(f"expected '{name} <int>', got {lines[index]!r}")
         try:
             return int(parts[1])
         except ValueError as exc:
-            raise ParseError(f"expected '{name} <int>', got {line!r}") from exc
+            raise ParseError(f"expected '{name} <int>', got {lines[index]!r}") from exc
 
-    num_vars = expect_int_field("nvars")
-    num_nodes = expect_int_field("nnodes")
+    num_vars = expect_int_field(1, "nvars")
+    num_nodes = expect_int_field(2, "nnodes")
     if num_vars < 0 or num_nodes < 2:
         raise ParseError("nvars must be non-negative and nnodes at least 2")
-
-    def miscounted(read: int) -> ParseError | None:
-        """The line-count error, unless the read lines after nnodes and the rest number nnodes + 1."""
-        found = read + sum(1 for _ in lines)
-        if found == num_nodes + 1:
-            return None
-        return ParseError(f"expected {num_nodes} node lines plus a root line, found {found} lines after nnodes")
+    if len(lines) != 3 + num_nodes + 1:
+        raise ParseError(f"expected {num_nodes} node lines plus a root line, found {len(lines) - 3} lines after nnodes")
 
     prob = Prob(num_vars)
     saw_theta: bool | None = None
-    read = 0  # lines read after nnodes
-    try:
-        for nid, line in zip(range(num_nodes), lines):
-            read += 1
-            parts = line.split()
-            if parts[0] != str(nid):
-                raise ParseError(f"node line {nid} must start with id {nid}, got {line!r}")
-            kind = parts[1] if len(parts) > 1 else ""
-            if nid == 0 or nid == 1:
-                expected = "F" if nid == 0 else "T"
-                if parts[1:] != [expected]:
-                    raise ParseError(f"node {nid} must be '{nid} {expected}'")
-                continue
-            if kind == "D":
-                if len(parts) not in (5, 7):
-                    raise ParseError(f"node {nid}: decision lines are '<id> D <var> <lo> <hi> [<theta_lo> <theta_hi>]'")
-                # the arena's next slot is nid, so a child it does not hold yet is a forward reference
+    for nid in range(num_nodes):
+        parts = lines[3 + nid].split()
+        if not parts or parts[0] != str(nid):
+            raise ParseError(f"node line {nid} must start with id {nid}, got {lines[3 + nid]!r}")
+        kind = parts[1] if len(parts) > 1 else ""
+        if nid == 0 or nid == 1:
+            expected = "F" if nid == 0 else "T"
+            if parts[1:] != [expected]:
+                raise ParseError(f"node {nid} must be '{nid} {expected}'")
+            continue
+        if kind == "D":
+            if len(parts) not in (5, 7):
+                raise ParseError(f"node {nid}: decision lines are '<id> D <var> <lo> <hi> [<theta_lo> <theta_hi>]'")
+            # the arena's next slot is nid, so a child it does not hold yet is a forward reference
+            try:
+                made = prob.add_decision(int(parts[2]), int(parts[3]), int(parts[4]))
+            except ValueError as exc:
+                raise ParseError(f"node {nid}: {exc}") from exc
+            has_theta = len(parts) == 7
+            if saw_theta is None:
+                saw_theta = has_theta
+            elif saw_theta != has_theta:
+                raise ParseError(f"node {nid}: branch parameters must appear on all decision lines or none")
+            if has_theta:
+                node = prob.nodes[made]
                 try:
-                    made = prob.add_decision(int(parts[2]), int(parts[3]), int(parts[4]))
+                    node.theta_lo, node.theta_hi = float(parts[5]), float(parts[6])
                 except ValueError as exc:
-                    raise ParseError(f"node {nid}: {exc}") from exc
-                has_theta = len(parts) == 7
-                if saw_theta is None:
-                    saw_theta = has_theta
-                elif saw_theta != has_theta:
-                    raise ParseError(f"node {nid}: branch parameters must appear on all decision lines or none")
-                if has_theta:
-                    node = prob.nodes[made]
-                    try:
-                        node.theta_lo, node.theta_hi = float(parts[5]), float(parts[6])
-                    except ValueError as exc:
-                        raise ParseError(f"node {nid}: bad parameter field") from exc
-                    if not (math.isfinite(node.theta_lo) and math.isfinite(node.theta_hi)):
-                        raise ParseError(f"node {nid}: parameters must be finite")
-                    if node.theta_lo < 0 or node.theta_hi < 0:
-                        raise ParseError(f"node {nid}: parameters must be non-negative")
-                    if abs(node.theta_lo + node.theta_hi - 1.0) > THETA_SUM_TOL:
-                        raise StructureError(
-                            f"node {nid}: branch parameters sum to {node.theta_lo + node.theta_hi!r}, not 1",
-                            property_name="parameters",
-                            node_id=nid,
-                        )
-            elif kind == "A":
-                if len(parts) < 3:
-                    raise ParseError(f"node {nid}: conjunction lines are '<id> A <k> <children...>'")
-                try:
-                    arity = int(parts[2])
-                    children = [int(p) for p in parts[3:]]
-                    if arity != len(children):
-                        raise ValueError(f"arity {arity} does not match {len(children)} children")
-                    prob.add_conj(children)
-                except ValueError as exc:
-                    raise ParseError(f"node {nid}: {exc}") from exc
-            else:
-                raise ParseError(f"node {nid}: unknown node kind {kind!r}")
-    except (ParseError, StructureError):
-        error = miscounted(read)
-        if error is None:
-            raise
-        raise error from None
+                    raise ParseError(f"node {nid}: bad parameter field") from exc
+                if not (math.isfinite(node.theta_lo) and math.isfinite(node.theta_hi)):
+                    raise ParseError(f"node {nid}: parameters must be finite")
+                if node.theta_lo < 0 or node.theta_hi < 0:
+                    raise ParseError(f"node {nid}: parameters must be non-negative")
+                if abs(node.theta_lo + node.theta_hi - 1.0) > THETA_SUM_TOL:
+                    raise StructureError(
+                        f"node {nid}: branch parameters sum to {node.theta_lo + node.theta_hi!r}, not 1",
+                        property_name="parameters",
+                        node_id=nid,
+                    )
+        elif kind == "A":
+            if len(parts) < 3:
+                raise ParseError(f"node {nid}: conjunction lines are '<id> A <k> <children...>'")
+            try:
+                arity = int(parts[2])
+                children = [int(p) for p in parts[3:]]
+                if arity != len(children):
+                    raise ValueError(f"arity {arity} does not match {len(children)} children")
+                prob.add_conj(children)
+            except ValueError as exc:
+                raise ParseError(f"node {nid}: {exc}") from exc
+        else:
+            raise ParseError(f"node {nid}: unknown node kind {kind!r}")
 
-    root_line = next(lines, None)
-    error = miscounted(read + (root_line is not None))
-    if error is not None:
-        raise error
-    root_parts = root_line.split()
+    root_parts = lines[3 + num_nodes].split()
     if len(root_parts) != 2 or root_parts[0] != "root":
-        raise ParseError(f"expected 'root <id>', got {root_line!r}")
+        raise ParseError(f"expected 'root <id>', got {lines[3 + num_nodes]!r}")
     try:
         root = int(root_parts[1])
     except ValueError as exc:

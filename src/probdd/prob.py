@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, islice
+from itertools import islice
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -223,6 +223,12 @@ def var_sets(prob: Prob) -> dict[int, int]:
     node mentions; bit 0 is never set, and the terminals hold 0. Every
     variable set in this module is such a mask: union is |, intersection
     &, difference a & ~b, and mask_variables lists the variables.
+
+    A mask is as wide as the highest variable below its node, not as
+    large as the set: it takes about (highest variable) / 8 bytes, and
+    the dict keeps one per reachable node. A diagram that decides a
+    variable near 10**8 holds a mask of about 12.5 MB for that decision
+    and for each of its ancestors.
     """
     nodes = prob.nodes
     masks: dict[int, int] = {}
@@ -242,9 +248,20 @@ def var_sets(prob: Prob) -> dict[int, int]:
 
 
 def mask_variables(mask: int) -> list[int]:
-    """The variables of a var_sets mask, ascending."""
-    digits = bin(mask)[:1:-1]  # digits[v] is bit v
-    return [var for var, digit in enumerate(digits) if digit == "1"]
+    """The variables of a var_sets mask, ascending.
+
+    A mask of at most 4096 bits is read from its binary digits. A wider
+    one is halved first and an empty half skipped, so no digit string is
+    longer than 4096 and a few variables in a wide mask cost little.
+    """
+    width = mask.bit_length()
+    if width <= 4096:
+        digits = bin(mask)[:1:-1]  # digits[v] is bit v
+        return [var for var, digit in enumerate(digits) if digit == "1"]
+    half = width // 2
+    low = mask & ((1 << half) - 1)
+    high = [var + half for var in mask_variables(mask >> half)]
+    return (mask_variables(low) if low else []) + high
 
 
 @dataclass(frozen=True)
@@ -290,12 +307,23 @@ def find_violations(prob: Prob) -> list[Violation]:
     covered = kappa.get(prob.root, 0)
     mentioned = covered.bit_count()
     if prob.root != FALSE_ID and mentioned < prob.num_vars:  # the root's variables lie in 1..num_vars
-        # Name only the first few missing variables, building no mask or list that grows
-        # with num_vars: the gaps below the highest variable the root mentions, then the
-        # variables above it.
+        # Name only the first ten missing variables: the gaps below the highest variable
+        # the root mentions, read in windows of doubling width from variable 1 up, so the
+        # work and the ints stay as small as where the tenth gap lies; then the variables
+        # above it. Nothing here grows with num_vars.
         top = covered.bit_length()
-        gaps = ~covered & ((1 << top) - 2) if top else 0
-        first = list(islice(chain(mask_variables(gaps), range(max(top, 1), prob.num_vars + 1)), 10))
+        first: list[int] = []
+        start, width = 1, 64
+        while len(first) < 10 and start < top:
+            end = min(start + width, top)
+            window = (1 << end) - (1 << start)  # bits start..end-1
+            gaps = (covered & window) ^ window
+            while gaps and len(first) < 10:
+                low = gaps & -gaps
+                first.append(low.bit_length() - 1)
+                gaps ^= low
+            start, width = end, 2 * width
+        first.extend(islice(range(max(top, 1), prob.num_vars + 1), 10 - len(first)))
         detail = f"diagram never mentions {prob.num_vars - mentioned} variables, first {first}"
         violations.append(Violation("smoothness", prob.root, detail))
     return violations

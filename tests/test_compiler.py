@@ -430,3 +430,26 @@ class TestTextFormat:
         assert not prob.smooth
         (violation,) = find_violations(prob)
         assert violation.detail == "diagram never mentions 99999999 variables, first [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"
+
+    def test_import_memory_of_a_high_numbered_variable(self):
+        # A var_sets mask is as wide as its highest variable: deciding variable 10**8
+        # costs a 12.5 MB mask per node above it. Naming the root's first ten gaps or a
+        # branch difference adds only a few mask-wide ints, and no digit string that wide.
+        mask_bytes = 100000000 // 8
+        head = "prob 1.0\nnvars 100000000\n"
+        cases = [
+            ("nnodes 3\n0 F\n1 T\n2 D 100000000 0 1\nroot 2\n", 3,
+             ["diagram never mentions 99999999 variables, first [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"]),
+            ("nnodes 4\n0 F\n1 T\n2 D 100000000 0 1\n3 D 1 1 2\nroot 3\n", 5,
+             ["branches of node 3 differ on variables [100000000]",
+              "diagram never mentions 99999998 variables, first [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"]),
+        ]
+        for body, masks, details in cases:
+            tracemalloc.start()
+            try:
+                prob = import_prob(head + body)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < masks * mask_bytes
+            assert [violation.detail for violation in find_violations(prob)] == details

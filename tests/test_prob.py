@@ -32,7 +32,7 @@ from probdd import (
 )
 from probdd.errors import GuardError, StructureError, WeightError
 from probdd.oracle import satisfies_masks
-from probdd.prob import FALSE_ID, MAX_ROOT_DONT_CARES, TRUE_ID, Node, Violation
+from probdd.prob import FALSE_ID, MAX_ROOT_DONT_CARES, TRUE_ID, Node, Violation, mask_variables
 
 from helpers import (
     EXAMPLE_DIMACS,
@@ -97,6 +97,14 @@ class TestVarSets:
                 assert list(kappa) == prob.topo_order()
                 assert {nid: frozenset(mask_set(mask)) for nid, mask in kappa.items()} == naive_var_sets(prob)
                 smooth(prob)
+
+    def test_mask_variables_matches_digits(self):
+        rng = random.Random(31)
+        for width in (0, 1, 64, 4096, 4097, 8193, 30000):  # either side of the digit-string cap
+            for density in (0.0005, 0.05, 0.5, 1.0):
+                mask = sum(1 << v for v in range(width) if rng.random() < density)
+                assert mask_variables(mask) == sorted(mask_set(mask))
+        assert mask_variables(1 << 100000000 | 1 << 5) == [5, 100000000]
 
 
 class TestParameterize:
