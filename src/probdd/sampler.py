@@ -59,8 +59,8 @@ from .errors import GuardError, StructureError, ZeroProbabilityError
 from .prob import ARITHMETICS, FALSE_ID, TRUE_ID, Prob, Structure, annotate_branches, parameterize, smooth
 
 MASK64 = (1 << 64) - 1
-# Table bytes SampleBatch takes per block of model lines; bounds a block's temporaries.
-_BLOCK_BYTES = 1 << 20
+# Line bytes SampleBatch writes per block of model lines; bounds a block's temporaries.
+_BLOCK_BYTES = 1 << 19
 # Row b of _BYTE_BITS holds the bits of byte value b, least significant first, as masks store variables.
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 VISITS_PER_WORKER = 2_000_000  # decision visits (k * num_vars) per worker thread of a drawing pass
@@ -95,28 +95,26 @@ class SampleBatch:
         return (counts @ _BYTE_BITS).ravel()[: self.num_vars] / len(self)
 
     def model_line_blocks(self) -> Iterator[str]:
-        """One DIMACS-style model line per sample, yielded about _BLOCK_BYTES of table bytes at a time.
+        """One DIMACS-style model line per sample, yielded about _BLOCK_BYTES of line bytes at a time.
 
         Each line is the literals "v" or "-v" for v = 1..num_vars, each
-        followed by a space, then "0" and a newline. A table built per call
-        holds, for mask byte j and each of its 256 values, the tokens of
-        variables 8j+1..8j+8 the value picks, zero-padded, the last byte's
-        entries ending in "0\n". A block takes each row's entries by its
-        mask bytes and drops the padding before one decode.
+        followed by a space, then "0" and a newline. One template line
+        holds each variable's token as a sign slot, its digits and a
+        space, zero-padded to one width, then "0\n"; it is tiled once into
+        a block of rows. A block writes "-" or zero into each row's sign
+        slots from its unpacked mask bits and drops the padding before one
+        decode.
         """
         n, raw = self.num_vars, self._bytes()
-        groups, width = raw.shape[1], len(str(n)) + 2
-        text = "".join(f"{sign}{v} ".ljust(width, "\0") for sign in ("-", "") for v in range(1, n + 1))
-        tokens = np.zeros((2, 8 * groups, width), dtype=np.uint8)  # variables above n keep empty tokens
-        tokens[:, :n] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(2, n, width)
-        table = np.zeros((groups, 256, 8 * width + 2), dtype=np.uint8)
-        for bit in range(8):  # a variable of each byte at a time: the temporary is an eighth of the table
-            table[:, :, bit * width : (bit + 1) * width] = tokens[_BYTE_BITS[:, bit], bit::8].swapaxes(0, 1)
-        table[-1, :, -2:] = np.frombuffer(b"0\n", dtype=np.uint8)
-        entries, offsets = table.view(f"V{table.shape[2]}").ravel(), np.arange(0, 256 * groups, 256)
-        rows = max(1, _BLOCK_BYTES // table[:, 0].nbytes)  # a row takes one entry per mask byte
+        width = len(str(n)) + 2
+        template = "".join(f"\0{v} ".ljust(width, "\0") for v in range(1, n + 1)) + "0\n"
+        rows = max(1, _BLOCK_BYTES // len(template))
+        lines = np.tile(np.frombuffer(template.encode("ascii"), dtype=np.uint8), (min(rows, len(self)), 1))
+        signs = lines[:, : n * width : width]
         for start in range(0, len(self), rows):
-            yield entries.take(raw[start : start + rows] + offsets).tobytes().translate(None, b"\0").decode("ascii")
+            bits = np.unpackbits(raw[start : start + rows], axis=1, count=n, bitorder="little")
+            np.multiply(bits ^ 1, ord("-"), out=signs[: len(bits)])  # "-" for a false variable, else padding
+            yield lines[: len(bits)].tobytes().translate(None, b"\0").decode("ascii")
 
     def model_lines(self) -> str:
         """All model lines as one string; see model_line_blocks."""

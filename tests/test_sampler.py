@@ -864,7 +864,7 @@ PINNED_MODEL_LINES_DIGEST = "4ef5b35476ffdde36d220496b61d9778c7ef3b30def8d9b8a46
 # Variable counts whose token width changes (9/10, 99/100, 999/1000), that
 # fill whole bytes or words exactly (8, 64, 128, 1000), that leave stray bits
 # in the last byte or word, and that leave no byte at all (0).
-FORMAT_NUM_VARS = [0, 1, 8, 9, 10, 63, 64, 65, 99, 100, 128, 130, 1000]
+FORMAT_NUM_VARS = [0, 1, 8, 9, 10, 63, 64, 65, 99, 100, 128, 130, 999, 1000]
 
 
 class TestBatchFormatting:
@@ -873,7 +873,7 @@ class TestBatchFormatting:
     @staticmethod
     def _block_rows(num_vars, words):
         """The lines model_line_blocks puts in one block at num_vars, read from its first block."""
-        probe = SampleBatch(masks=np.zeros((1 << 16, words), dtype=np.uint64), num_vars=num_vars)
+        probe = SampleBatch(masks=np.zeros((1 << 20, words), dtype=np.uint64), num_vars=num_vars)
         return next(probe.model_line_blocks()).count("\n")
 
     @staticmethod
@@ -892,7 +892,7 @@ class TestBatchFormatting:
         pool[1] = np.uint64(2**64 - 1)
         pool_lines = reference_model_lines(SampleBatch(masks=pool, num_vars=num_vars)).splitlines(keepends=True)
         rows = TestBatchFormatting._block_rows(num_vars, words)
-        assert 1 < rows < 1 << 16
+        assert 1 < rows < 1 << 20
         for k in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
             index = rng.integers(0, len(pool), size=k)
             index[0], index[-1] = 0, 1
@@ -916,17 +916,20 @@ class TestBatchFormatting:
         assert_same_text(batch.model_lines(), reference_model_lines(batch))
 
     def test_blocks_are_bounded_by_bytes(self):
-        # 8,192 rows of 2,000 variables are 81 MB of text; blocks of 8,192 rows peaked at 278 MB
+        # 8,192 rows of 2,000 variables are 81 MB of text; blocks of 8,192 rows peaked at 278 MB.
+        # One row of 60,000 variables is 420 KB; a table of 256 entries per mask byte peaked at 120.6 MiB.
         rng = np.random.default_rng(4)
-        batch = SampleBatch(masks=rng.integers(0, 2**64, size=(8192, 32), dtype=np.uint64), num_vars=2000)
-        tracemalloc.start()
-        try:
-            for _ in batch.model_line_blocks():
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        for k, num_vars in ((8192, 2000), (1, 60_000)):
+            masks = rng.integers(0, 2**64, size=(k, (num_vars + 63) // 64), dtype=np.uint64)
+            batch = SampleBatch(masks=masks, num_vars=num_vars)
+            tracemalloc.start()
+            try:
+                for _ in batch.model_line_blocks():
+                    pass
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, (k, num_vars)
 
     def test_model_lines_digest_is_pinned(self):
         prob = smooth(compile_cnf(compile_heavy_formula()))
