@@ -39,6 +39,24 @@ from helpers import (
 UNNORMALIZED_PROB = "prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 0 0\nroot 2\n"
 
 
+def pinned_digests(probs) -> tuple[str, str]:
+    """SHA-256 over the diagrams' arenas and exports, and SHA-256 over their exports alone.
+
+    The first hashes each root, every arena slot in creation order, and
+    the export, so it also pins nodes that no root reaches. The second
+    pins only what the diagrams represent: the exports.
+    """
+    arena, export = hashlib.sha256(), hashlib.sha256()
+    for prob in probs:
+        text = export_prob(prob).encode()
+        arena.update(f"root {prob.root}\n".encode())
+        for node in prob.nodes:
+            arena.update(f"{node.kind} {node.var} {node.lo} {node.hi} {node.children}\n".encode())
+        arena.update(text)
+        export.update(text)
+    return arena.hexdigest(), export.hexdigest()
+
+
 @st.composite
 def raw_formulas(draw):
     """Formulas over 0-10 variables, clauses as drawn: literals may repeat,
@@ -180,14 +198,10 @@ class TestCompile:
         # was recursive; the explicit-stack build must create the same nodes
         # in the same order.
         formula = compile_heavy_formula()
-        digest = hashlib.sha256()
-        for heuristic in ("natural", "occ"):
-            prob = compile_cnf(formula, choose_ordering(formula, heuristic))
-            digest.update(f"root {prob.root}\n".encode())
-            for node in prob.nodes:
-                digest.update(f"{node.kind} {node.var} {node.lo} {node.hi} {node.children}\n".encode())
-            digest.update(export_prob(prob).encode())
-        assert digest.hexdigest() == "5ee2e75fa5d40bbcc29c4004e68059a4a3d138c7aca75426bf950f19342326fb"
+        arena, export = pinned_digests(compile_cnf(formula, choose_ordering(formula, heuristic))
+                                       for heuristic in ("natural", "occ"))
+        assert arena == "5ee2e75fa5d40bbcc29c4004e68059a4a3d138c7aca75426bf950f19342326fb"
+        assert export == "d4efa9ac307ad6bef0853f21982a695d13c6053d5c2fac026302ab73062c78a0"
 
     def test_random_formula_arenas_are_pinned(self):
         # SHA-256 over the arenas (creation order) and exports of 60 seeded
@@ -214,7 +228,7 @@ class TestCompile:
                 formula = random_mixed_cnf(rng, n, rng.randint(0, 2 * n))
             formulas.append(formula)
         kinds = {"unsat": 0, "empty": 0, "free": 0, "split": 0}
-        digest = hashlib.sha256()
+        probs = []
         for formula in formulas:
             kinds["empty"] += not formula.clauses
             kinds["free"] += len(set(formula.variables()) - {abs(l) for cl in formula.clauses for l in cl}) > 0
@@ -222,12 +236,11 @@ class TestCompile:
                 prob = compile_cnf(formula, choose_ordering(formula, heuristic))
                 kinds["unsat"] += prob.root == FALSE_ID
                 kinds["split"] += prob.nodes[prob.root].kind == "A"
-                digest.update(f"root {prob.root}\n".encode())
-                for node in prob.nodes:
-                    digest.update(f"{node.kind} {node.var} {node.lo} {node.hi} {node.children}\n".encode())
-                digest.update(export_prob(prob).encode())
+                probs.append(prob)
         assert all(kinds.values()), kinds
-        assert digest.hexdigest() == "6f50c13009f9a71bf0f0c00f318016b80ef16ae7fee7c3ad5408a8dcc5374c80"
+        arena, export = pinned_digests(probs)
+        assert arena == "6f50c13009f9a71bf0f0c00f318016b80ef16ae7fee7c3ad5408a8dcc5374c80"
+        assert export == "c9debef9c6a74006065e46ad21257226c4a37c14a4629536c65c97046f64d802"
 
     def test_arenas_past_one_machine_word_are_pinned(self):
         # SHA-256 over the arenas (creation order) and exports of formulas
@@ -246,14 +259,10 @@ class TestCompile:
         cases += [(random_3cnf, choose_ordering(random_3cnf)),
                   (long_clause, choose_ordering(long_clause, "natural")),
                   (long_clause, VariableOrdering(range(1500, 0, -1)))]
-        digest = hashlib.sha256()
-        for formula, ordering in cases:
-            prob = compile_cnf(formula, ordering, max_vars=formula.num_vars)
-            digest.update(f"root {prob.root}\n".encode())
-            for node in prob.nodes:
-                digest.update(f"{node.kind} {node.var} {node.lo} {node.hi} {node.children}\n".encode())
-            digest.update(export_prob(prob).encode())
-        assert digest.hexdigest() == "b8d72fffdb2c174ee8c69fd1d3948c467bb0ce595670fea9e4537544b037fe3f"
+        arena, export = pinned_digests(compile_cnf(formula, ordering, max_vars=formula.num_vars)
+                                       for formula, ordering in cases)
+        assert arena == "b8d72fffdb2c174ee8c69fd1d3948c467bb0ce595670fea9e4537544b037fe3f"
+        assert export == "bf36cd955bcc3c9390ddc00b34c95fe5205a0a179d971b4f406cbf4b01f1e8c9"
 
     def test_parts_are_ordered_by_lowest_variable(self):
         # The passes that grow a part walk the pending clauses up and down
