@@ -9,19 +9,33 @@ map back to the original variable. Renamed clauses are normalized
 Because the branching variable is always the lowest of the residual, a
 residual clause is always a suffix of an input clause. Every suffix is
 interned once, as an id holding its signed first literal, the id of the
-rest of the clause and a bitmask of its variables. The ids are then
-given bits ordered by their first variable, so that each variable's ids
-fill one contiguous bit range and bit 0 is the empty clause, and a
-residual is one Python int over those bits: 0 is TRUE, an odd one is
-FALSE, and the lowest set bit names the branching variable. Restricting
-clears that variable's range and sets the bit of the rest of each
-falsified clause. Variable-disjoint components are grown over groups,
-a group being the residual's ids in one variable's range, found by one
-scan of the int's binary digits; parts are ordered by their lowest
-variable. Split residuals become conjunction nodes, residuals are
-memoized, and a unique table shares structurally identical nodes. This
-is simple and deterministic; it is meant for desk scale, not to compete
-with industrial compilers, which is why a variable-count guard applies.
+rest of the clause and bitmasks of its positive and of its negative
+variables. The ids are then given bits ordered by their first variable,
+so that each variable's ids fill one contiguous bit range and bit 0 is
+the empty clause, and a residual is one Python int over those bits: 0 is
+TRUE, an odd one is FALSE, and the lowest set bit names the branching
+variable. Restricting clears that variable's range and sets the bit of
+the rest of each falsified clause. Variable-disjoint components are
+grown over groups, a group being the residual's ids in one variable's
+range, found by one scan of the int's binary digits; parts are ordered
+by their lowest variable. Split residuals become conjunction nodes,
+residuals are memoized, and a unique table shares structurally identical
+nodes.
+
+Before a residual is expanded, one wave of unit propagation checks it:
+all of its unit clauses are assigned at once, and if two of them clash
+or they falsify another of its clauses, the residual is memoized as
+FALSE and builds no nodes. Expanded, it would have compiled to FALSE
+all the same, but only after building nodes for its satisfiable parts
+that no root reaches. For each literal whose negation is a unit
+clause, an int over the id bits marks the ids that hold it, so the
+check looks only at the clauses that hold a negated unit literal.
+Propagating to a fixpoint is left out: it would walk a whole
+implication chain again on every branch of a chain.
+
+This is simple and deterministic; it is meant for desk scale, not to
+compete with industrial compilers, which is why a variable-count guard
+applies.
 """
 
 from __future__ import annotations
@@ -97,8 +111,9 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
     # Intern every suffix of every renamed clause, shortest first, keyed by
     # (its signed first literal, the id of the rest). A suffix's id is its
     # key's position in suffix_ids, so first and rest are read back from
-    # the keys; id 0, the empty clause, is keyed (0, 0). Per id, mask has
-    # bit v set for each variable v it mentions; a rest's id is smaller.
+    # the keys; id 0, the empty clause, is keyed (0, 0). Per id, pos and
+    # neg have bit v set for each variable v it mentions positively and
+    # negatively; a rest's id is smaller.
     suffix_ids: dict[tuple[int, int], int] = {(0, 0): 0}
     top_ids: set[int] = set()
     for clause in formula.clauses:
@@ -111,15 +126,17 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
             sid = suffix_ids.setdefault((lit, sid), len(suffix_ids))
         top_ids.add(sid)
     first, rest = zip(*suffix_ids)
-    mask = [0]
+    pos, neg = [0], [0]
     for lit, sid in islice(suffix_ids, 1, None):
-        mask.append(mask[sid] | 1 << abs(lit))
+        pos.append(pos[sid] | 1 << lit if lit > 0 else pos[sid])
+        neg.append(neg[sid] | 1 << -lit if lit < 0 else neg[sid])
 
     # Give each id a bit, ordered by (lowest variable, id): bit 0 is the
     # empty clause and variable v's ids fill bits start[v] to start[v + 1].
     # Per bit: its id's first literal and variable, the end of that
-    # variable's range, its variable mask, the bit of its rest, and the
-    # variable's memo of group masks (see components).
+    # variable's range, its positive, negative and whole variable masks,
+    # the bit of its rest, and the variable's memo of group masks (see
+    # components).
     num_vars, num_bits = formula.num_vars, len(first)
     by_bit = sorted(range(num_bits), key=lambda sid: abs(first[sid]))
     bit_of = [0] * num_bits
@@ -129,10 +146,30 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
     bit_var = list(map(abs, bit_lit))
     start = [bisect_left(bit_var, v) for v in range(num_vars + 2)]
     bit_end = [start[v + 1] for v in bit_var]
-    bit_mask = [mask[sid] for sid in by_bit]
+    bit_pos = [pos[sid] for sid in by_bit]
+    bit_neg = [neg[sid] for sid in by_bit]
+    bit_mask = [p | n for p, n in zip(bit_pos, bit_neg)]
     bit_rest = [1 << bit_of[rest[sid]] for sid in by_bit]
     group_masks: list[dict[str, int]] = [{} for _ in range(num_vars + 1)]
     bit_groups = [group_masks[v] for v in bit_var]
+
+    # The unit ids' bits, and per unit bit the bits of the ids that hold
+    # the negation of its literal (see refuted). An id holds its first
+    # literal and all of its rest's, so along each clause's chain of
+    # suffixes the bits seen so far are the ids that hold the literal met.
+    units = [sid for sid in range(1, num_bits) if not rest[sid]]
+    unit_bits = sum(1 << bit_of[sid] for sid in units)
+    holding = dict.fromkeys((-first[sid] for sid in units), 0)
+    for sid in top_ids:
+        seen = 0
+        while sid:
+            seen |= 1 << bit_of[sid]
+            if first[sid] in holding:
+                holding[first[sid]] |= seen
+            sid = rest[sid]
+    bit_against = [0] * num_bits
+    for sid in units:
+        bit_against[bit_of[sid]] = holding[-first[sid]]
 
     prob = Prob(num_vars)
     decision_index: dict[tuple[int, int, int], int] = {}
@@ -254,6 +291,36 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
             group ^= bit
         return [lo, hi]
 
+    def refuted(residual: int) -> bool:
+        """Whether one wave of unit propagation refutes the residual.
+
+        All of the residual's unit clauses are assigned at once: it is
+        refuted when two of them clash or some clause has every literal
+        falsified by them. Only the ids that hold a negated unit literal
+        can be falsified, so only those are looked at.
+        """
+        left = residual & unit_bits
+        if not left:
+            return False
+        true_vars = false_vars = against = 0
+        while left:
+            bit = left & -left
+            b = bit.bit_length() - 1
+            true_vars |= bit_pos[b]
+            false_vars |= bit_neg[b]
+            against |= bit_against[b]
+            left ^= bit
+        if true_vars & false_vars:
+            return True
+        against &= residual
+        while against:
+            bit = against & -against
+            b = bit.bit_length() - 1
+            if not (bit_pos[b] & ~false_vars or bit_neg[b] & ~true_vars):
+                return True
+            against ^= bit
+        return False
+
     def known(residual: int) -> int | None:
         if not residual:
             return TRUE_ID
@@ -265,9 +332,14 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
     # depth-first, lo-before-hi order. A residual is visited twice: first
     # it pushes a record (residual, var, subs) above its subs, then the
     # record builds its node from the subs' ids; var None is a conjunction.
+    # The top and each restriction are checked by refuted before they are
+    # expanded; a part needs no check of its own, as its units and clauses
+    # are some of a checked residual's and a clash stays within one part.
     top = 0
     for sid in top_ids:
         top |= 1 << bit_of[sid]
+    if refuted(top):
+        memo[top] = FALSE_ID
     stack: list = [top]
     while stack:
         item = stack.pop()
@@ -283,6 +355,9 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
         if len(subs) == 1:
             var = bit_var[(item & -item).bit_length() - 1]
             subs = restrict(item, var)
+            for sub in subs:
+                if known(sub) is None and refuted(sub):
+                    memo[sub] = FALSE_ID
         stack.append((item, var, subs))
         stack.extend(reversed(subs))
     prob.root = known(top)

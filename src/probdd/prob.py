@@ -123,27 +123,38 @@ class Prob:
 
         Raises StructureError naming the node that closes a cycle: a node
         reached again after it was entered but before it was emitted lies
-        on the current path.
+        on the current path. An entered node pushes ~nid below its
+        children, last child first, and is emitted when that comes off the
+        stack; state holds 1 for an entered node and 2 for an emitted one.
+        The children are read from the node, as children_of gives them.
         """
         order: list[int] = []
-        entered: set[int] = set()
-        emitted: set[int] = set()
-        stack: list[tuple[int, bool]] = [(self.root, False)]
+        nodes = self.nodes
+        state = bytearray(len(nodes))
+        stack = [self.root]
         while stack:
-            nid, expanded = stack.pop()
-            if expanded:
+            nid = stack.pop()
+            if nid < 0:
+                nid = ~nid
                 order.append(nid)
-                emitted.add(nid)
+                state[nid] = 2
                 continue
-            if nid in entered:
-                if nid not in emitted:
+            if state[nid]:
+                if state[nid] == 1:
                     raise StructureError(f"cycle through node {nid}", node_id=nid)
                 continue
-            entered.add(nid)
-            stack.append((nid, True))
-            for child in reversed(self.children_of(nid)):
-                if child not in emitted:
-                    stack.append((child, False))
+            state[nid] = 1
+            stack.append(~nid)
+            node = nodes[nid]
+            if node.kind == "D":
+                if state[node.hi] != 2:
+                    stack.append(node.hi)
+                if state[node.lo] != 2:
+                    stack.append(node.lo)
+            elif node.kind == "A":
+                for child in reversed(node.children):
+                    if state[child] != 2:
+                        stack.append(child)
         return order
 
     def topo_structure(self) -> Structure:

@@ -41,8 +41,8 @@ from probdd.sampler import round_seed
 from helpers import (
     EXAMPLE_DIMACS,
     EXAMPLE_MODELS,
+    guarded_pigeonhole,
     histogram_benchmark_formula,
-    compile_heavy_formula,
     constrained_instances,
     random_mixed_cnf,
     random_weights,
@@ -208,8 +208,10 @@ def test_criterion_06_incremental_equivalence():
 
 def test_criterion_07_amortization():
     with criterion(7, "amortization of compilation"):
-        formula = compile_heavy_formula()
-        reports = run_incremental(formula, WeightFunction.uniform(), rounds=10, k=100, seed=3)
+        # refuting 7 pigeons in 6 holes under its guard is the whole compile
+        formula = guarded_pigeonhole(6)
+        reports = run_incremental(formula, WeightFunction.uniform(), rounds=10, k=100, seed=3,
+                                  max_vars=formula.num_vars)
         first = reports[0]
         assert first.compile_s >= 10 * first.sample_s, "instance must be compile-dominated"
         later = [rep.total_s for rep in reports[1:]]

@@ -76,6 +76,18 @@ def raw_formulas(draw):
     return CnfFormula(n, tuple(clauses))
 
 
+@st.composite
+def unit_heavy_formulas(draw):
+    """Dense formulas over 8-14 variables: 10-40 clauses of 1-3 distinct
+    variables each, so that unit clauses are common and many residuals
+    are refuted by their units before they are expanded."""
+    n = draw(st.integers(8, 14))
+    var = st.integers(1, n)
+    lit = st.one_of(var, var.map(lambda v: -v))
+    clause = st.lists(lit, min_size=1, max_size=3, unique_by=abs).map(tuple)
+    return CnfFormula(n, tuple(draw(st.lists(clause, min_size=10, max_size=40))))
+
+
 class TestChooseOrdering:
     def test_natural(self):
         formula = parse_dimacs(EXAMPLE_DIMACS)
@@ -171,6 +183,15 @@ class TestCompile:
             prob = smooth(compile_cnf(formula, choose_ordering(formula, heuristic)))
             assert np.array_equal(diagram_models(prob), expected)
 
+    @given(unit_heavy_formulas())
+    @settings(max_examples=150, deadline=None)
+    def test_unit_heavy_models_match_oracle(self, formula):
+        expected = model_masks(formula)
+        for heuristic in ("natural", "occ"):
+            prob = compile_cnf(formula, choose_ordering(formula, heuristic))
+            assert (prob.root == FALSE_ID) == (len(expected) == 0)
+            assert np.array_equal(diagram_models(smooth(prob)), expected)
+
     def test_long_clause_interns_without_recursion(self):
         # one clause of 1,500 literals has 1,500 suffixes to intern and
         # compiles to a chain of one decision per variable
@@ -194,20 +215,22 @@ class TestCompile:
 
     def test_node_creation_order_is_pinned(self):
         # SHA-256 over the arena (node ids in creation order) and the export
-        # of compile_heavy_formula under both orderings, recorded when build
-        # was recursive; the explicit-stack build must create the same nodes
-        # in the same order.
+        # of compile_heavy_formula under both orderings. The export digest
+        # was recorded before the unit-conflict check was added and the
+        # arena digest with it: the check only leaves out the unreachable
+        # nodes that satisfiable parts of refuted residuals used to build.
         formula = compile_heavy_formula()
         arena, export = pinned_digests(compile_cnf(formula, choose_ordering(formula, heuristic))
                                        for heuristic in ("natural", "occ"))
-        assert arena == "5ee2e75fa5d40bbcc29c4004e68059a4a3d138c7aca75426bf950f19342326fb"
+        assert arena == "aa22ca1d862a22b5a25de39c654e28fc55b68d2ae52cd2aba3677c8c62acfe54"
         assert export == "d4efa9ac307ad6bef0853f21982a695d13c6053d5c2fac026302ab73062c78a0"
 
     def test_random_formula_arenas_are_pinned(self):
         # SHA-256 over the arenas (creation order) and exports of 60 seeded
-        # formulas under both orderings, recorded before the compiler worked
-        # in rank order. The set covers unsatisfiable, zero-clause,
-        # free-variable and multi-component formulas over 1-20 variables.
+        # formulas under both orderings, the exports recorded before the
+        # unit-conflict check and the arenas with it (see the test above).
+        # The set covers unsatisfiable, zero-clause, free-variable and
+        # multi-component formulas over 1-20 variables.
         rng = random.Random(31)
         formulas = []
         for i in range(60):
@@ -239,13 +262,14 @@ class TestCompile:
                 probs.append(prob)
         assert all(kinds.values()), kinds
         arena, export = pinned_digests(probs)
-        assert arena == "6f50c13009f9a71bf0f0c00f318016b80ef16ae7fee7c3ad5408a8dcc5374c80"
+        assert arena == "1b85216aed3bc6926903bc49f536fc4500a6eb725627833a1c11034d6e5b1f7d"
         assert export == "c9debef9c6a74006065e46ad21257226c4a37c14a4629536c65c97046f64d802"
 
     def test_arenas_past_one_machine_word_are_pinned(self):
         # SHA-256 over the arenas (creation order) and exports of formulas
-        # with more than 64 variables and more than 64 clause suffixes,
-        # recorded when a residual was a frozenset of suffix ids: a
+        # with more than 64 variables and more than 64 clause suffixes, the
+        # exports recorded before the unit-conflict check and the arenas
+        # with it (see test_node_creation_order_is_pinned). They are a
         # 200-variable chain and a 100-variable ladder under both orderings,
         # a 30-variable random 3-CNF under the default one (natural takes
         # seconds), and one clause of 1,500 literals, natural and reversed.
@@ -261,7 +285,7 @@ class TestCompile:
                   (long_clause, VariableOrdering(range(1500, 0, -1)))]
         arena, export = pinned_digests(compile_cnf(formula, ordering, max_vars=formula.num_vars)
                                        for formula, ordering in cases)
-        assert arena == "b8d72fffdb2c174ee8c69fd1d3948c467bb0ce595670fea9e4537544b037fe3f"
+        assert arena == "9bed75bdf2e807d5c8a40edc476bef055ebd849a9b0521889ee478be82ae678c"
         assert export == "bf36cd955bcc3c9390ddc00b34c95fe5205a0a179d971b4f406cbf4b01f1e8c9"
 
     def test_parts_are_ordered_by_lowest_variable(self):
@@ -282,6 +306,21 @@ class TestCompile:
             ("D", 2, 9, 0, ()), ("D", 3, 0, 1, ()), ("D", 6, 0, 1, ()), ("D", 7, 0, 1, ()),
             ("A", 0, 0, 0, (2, 10, 11, 12, 13)),
         ]
+
+    def test_refuted_residual_builds_no_nodes(self):
+        # Under 1=1 the units (5) and (-5) clash beside a satisfiable part
+        # over {2, 3, 4}. Expanded, the residual would split and compile
+        # that part into five decisions before its other part came out
+        # FALSE; refuted, it builds nothing, so every arena slot is
+        # reachable. Without variable 1 in the last two clauses the root
+        # would split first, and the clash would have no part beside it.
+        formula = CnfFormula(5, ((-1, 5), (-1, -5), (-1, 2, -3, 4), (-1, -2, 3, -4)))
+        prob = compile_cnf(formula, choose_ordering(formula, "natural"))
+        listing = [(node.kind, node.var, node.lo, node.hi, node.children) for node in prob.nodes]
+        assert listing == [("F", 0, 0, 0, ()), ("T", 0, 0, 0, ()), ("D", 1, 1, 0, ())]
+        assert prob.root == 2
+        assert len(prob.topo_order()) == len(prob.nodes)
+        assert np.array_equal(diagram_models(prob), model_masks(formula))
 
 
 class TestTextFormat:

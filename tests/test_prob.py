@@ -457,6 +457,57 @@ class TestWalks:
             walk(prob)
         assert err.value.node_id == prob.root
 
+    def test_topo_order_is_a_depth_first_post_order(self):
+        # Random arenas, half of them with one edge rewired to a node at or
+        # above its own slot, against a recursive post-order that raises at
+        # the first child it finds on its own path.
+        def reference(prob):
+            order, path, done = [], set(), set()
+
+            def visit(nid):
+                if nid in path:
+                    raise StructureError(f"cycle through node {nid}", node_id=nid)
+                if nid in done:
+                    return
+                path.add(nid)
+                for child in prob.children_of(nid):
+                    visit(child)
+                path.remove(nid)
+                done.add(nid)
+                order.append(nid)
+
+            visit(prob.root)
+            return order
+
+        def outcome(walk, prob):
+            try:
+                return walk(prob)
+            except StructureError as err:
+                return err.node_id
+
+        rng = random.Random(5)
+        cycles = 0
+        for i in range(400):
+            prob = Prob(8)
+            for _ in range(rng.randint(1, 40)):
+                m = len(prob.nodes)
+                if rng.random() < 0.7:
+                    prob.add_decision(rng.randint(1, 8), rng.randrange(m), rng.randrange(m))
+                else:
+                    prob.add_conj(rng.sample(range(m), min(m, rng.randint(2, 4))))
+            prob.root = rng.randrange(len(prob.nodes))
+            if i % 2:
+                slot = rng.randrange(2, len(prob.nodes))
+                node, back = prob.nodes[slot], rng.randrange(slot, len(prob.nodes))
+                if node.kind == "D":
+                    node.lo = back
+                else:
+                    node.children = (back,) + node.children[1:]
+            expected = outcome(reference, prob)
+            assert outcome(Prob.topo_order, prob) == expected
+            cycles += isinstance(expected, int)
+        assert cycles > 20
+
     @pytest.mark.parametrize(
         "run",
         [
