@@ -8,19 +8,18 @@ map back to the original variable. Renamed clauses are normalized
 
 Because the branching variable is always the lowest of the residual, a
 residual clause is always a suffix of an input clause. Every suffix is
-interned once, as an id holding its signed first literal, the id of the
-rest of the clause and bitmasks of its positive and of its negative
-variables. The ids are then given bits ordered by their first variable,
-so that each variable's ids fill one contiguous bit range and bit 0 is
-the empty clause, and a residual is one Python int over those bits: 0 is
-TRUE, an odd one is FALSE, and the lowest set bit names the branching
-variable. Restricting clears that variable's range and sets the bit of
-the rest of each falsified clause. Variable-disjoint components are
-grown over groups, a group being the residual's ids in one variable's
-range, found by one scan of the int's binary digits; parts are ordered
-by their lowest variable. Split residuals become conjunction nodes,
-residuals are memoized, and a unique table shares structurally identical
-nodes.
+interned once and then numbered by its first variable, so that each
+variable's suffixes fill one contiguous range of bit numbers and bit 0
+is the empty clause; every table is indexed by that number. A residual
+is one Python int over those bits: 0 is TRUE, 1 (the empty clause
+alone) is FALSE, and the lowest set bit names the branching variable.
+Restricting clears that variable's range and sets the bit of the rest
+of each falsified clause, and a residual that comes to hold the empty
+clause becomes 1. Variable-disjoint components are grown over groups, a
+group being the residual's suffixes in one variable's range, found by
+one scan of the int's binary digits; parts are ordered by their lowest
+variable. Split residuals become conjunction nodes, residuals are
+memoized, and a unique table shares structurally identical nodes.
 
 Before a residual is expanded, one wave of unit propagation checks it:
 all of its unit clauses are assigned at once, and if two of them clash
@@ -28,8 +27,8 @@ or they falsify another of its clauses, the residual is memoized as
 FALSE and builds no nodes. Expanded, it would have compiled to FALSE
 all the same, but only after building nodes for its satisfiable parts
 that no root reaches. For each literal whose negation is a unit
-clause, an int over the id bits marks the ids that hold it, so the
-check looks only at the clauses that hold a negated unit literal.
+clause, an int over the suffix bits marks the suffixes that hold it, so
+the check looks only at the clauses that hold a negated unit literal.
 Propagating to a fixpoint is left out: it would walk a whole
 implication chain again on every branch of a chain.
 
@@ -43,7 +42,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from itertools import islice
 
 from .cnf import CnfFormula, normalize_clause
 from .errors import GuardError, ParseError, StructureError
@@ -109,13 +107,10 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
     order, rank = ordering.order, ordering.rank
 
     # Intern every suffix of every renamed clause, shortest first, keyed by
-    # (its signed first literal, the id of the rest). A suffix's id is its
-    # key's position in suffix_ids, so first and rest are read back from
-    # the keys; id 0, the empty clause, is keyed (0, 0). Per id, pos and
-    # neg have bit v set for each variable v it mentions positively and
-    # negatively; a rest's id is smaller.
+    # (its signed first literal, the interning id of the rest); id 0, the
+    # empty clause, is keyed (0, 0). clause_ids holds the ids of whole clauses.
     suffix_ids: dict[tuple[int, int], int] = {(0, 0): 0}
-    top_ids: set[int] = set()
+    clause_ids: set[int] = set()
     for clause in formula.clauses:
         # a repeated literal would be decided twice; a tautology constrains nothing
         clause = normalize_clause(rank[lit] + 1 if lit > 0 else -rank[-lit] - 1 for lit in clause)
@@ -124,57 +119,60 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
         sid = 0
         for lit in reversed(clause):
             sid = suffix_ids.setdefault((lit, sid), len(suffix_ids))
-        top_ids.add(sid)
-    first, rest = zip(*suffix_ids)
-    pos, neg = [0], [0]
-    for lit, sid in islice(suffix_ids, 1, None):
-        pos.append(pos[sid] | 1 << lit if lit > 0 else pos[sid])
-        neg.append(neg[sid] | 1 << -lit if lit < 0 else neg[sid])
+        clause_ids.add(sid)
 
-    # Give each id a bit, ordered by (lowest variable, id): bit 0 is the
-    # empty clause and variable v's ids fill bits start[v] to start[v + 1].
-    # Per bit: its id's first literal and variable, the end of that
-    # variable's range, its positive, negative and whole variable masks,
-    # the bit of its rest, and the variable's memo of group masks (see
-    # components).
-    num_vars, num_bits = formula.num_vars, len(first)
-    by_bit = sorted(range(num_bits), key=lambda sid: abs(first[sid]))
+    # Number the suffixes by (first variable, interning id): bit 0 is the
+    # empty clause and variable v's suffixes fill bits start[v] to
+    # start[v + 1]. Per bit: its suffix's first literal and variable, the
+    # end of that variable's range, the bit of its rest, its positive,
+    # negative and whole variable masks, and the variable's memo of group
+    # masks (see components). A rest lies in a higher range or is the
+    # empty clause, so one descending pass fills the masks.
+    keys = sorted(suffix_ids, key=lambda key: abs(key[0]))
+    num_vars, num_bits = formula.num_vars, len(keys)
     bit_of = [0] * num_bits
-    for b, sid in enumerate(by_bit):
-        bit_of[sid] = b
-    bit_lit = [first[sid] for sid in by_bit]
+    for b, key in enumerate(keys):
+        bit_of[suffix_ids[key]] = b
+    bit_lit = [lit for lit, _ in keys]
     bit_var = list(map(abs, bit_lit))
     start = [bisect_left(bit_var, v) for v in range(num_vars + 2)]
     bit_end = [start[v + 1] for v in bit_var]
-    bit_pos = [pos[sid] for sid in by_bit]
-    bit_neg = [neg[sid] for sid in by_bit]
+    bit_rest = [bit_of[sid] for _, sid in keys]
+    bit_pos, bit_neg = [0] * num_bits, [0] * num_bits
+    for b in range(num_bits - 1, 0, -1):
+        lit, r = bit_lit[b], bit_rest[b]
+        bit_pos[b] = bit_pos[r] | 1 << lit if lit > 0 else bit_pos[r]
+        bit_neg[b] = bit_neg[r] | 1 << -lit if lit < 0 else bit_neg[r]
     bit_mask = [p | n for p, n in zip(bit_pos, bit_neg)]
-    bit_rest = [1 << bit_of[rest[sid]] for sid in by_bit]
     group_masks: list[dict[str, int]] = [{} for _ in range(num_vars + 1)]
     bit_groups = [group_masks[v] for v in bit_var]
 
-    # The unit ids' bits, and per unit bit the bits of the ids that hold
-    # the negation of its literal (see refuted). An id holds its first
-    # literal and all of its rest's, so along each clause's chain of
-    # suffixes the bits seen so far are the ids that hold the literal met.
-    units = [sid for sid in range(1, num_bits) if not rest[sid]]
-    unit_bits = sum(1 << bit_of[sid] for sid in units)
-    holding = dict.fromkeys((-first[sid] for sid in units), 0)
-    for sid in top_ids:
-        seen = 0
-        while sid:
-            seen |= 1 << bit_of[sid]
-            if first[sid] in holding:
-                holding[first[sid]] |= seen
-            sid = rest[sid]
+    # The top residual, the unit bits, and per unit bit the bits of the
+    # suffixes that hold the negation of its literal (see refuted). A
+    # suffix holds its first literal and all of its rest's, so along each
+    # clause's chain of bits the bits seen so far hold the literal met.
+    units = [b for b in range(1, num_bits) if not bit_rest[b]]
+    unit_bits = sum(1 << b for b in units)
+    holding = dict.fromkeys((-bit_lit[b] for b in units), 0)
+    top = 0
+    for sid in clause_ids:
+        b, seen = bit_of[sid], 0
+        top |= 1 << b
+        while b:
+            seen |= 1 << b
+            if bit_lit[b] in holding:
+                holding[bit_lit[b]] |= seen
+            b = bit_rest[b]
+    if top & 1:  # an empty input clause makes the formula FALSE
+        top = 1
     bit_against = [0] * num_bits
-    for sid in units:
-        bit_against[bit_of[sid]] = holding[-first[sid]]
+    for b in units:
+        bit_against[b] = holding[-bit_lit[b]]
 
     prob = Prob(num_vars)
     decision_index: dict[tuple[int, int, int], int] = {}
     conj_index: dict[tuple[int, ...], int] = {}
-    memo: dict[int, int] = {}
+    memo: dict[int, int] = {0: TRUE_ID, 1: FALSE_ID}
 
     def make_decision(var: int, lo: int, hi: int) -> int:
         if lo == hi:
@@ -210,13 +208,13 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
     def components(residual: int) -> list[int]:
         """Variable-disjoint parts, lowest variable first.
 
-        A group is the residual's ids in one variable's bit range; they
+        A group is the residual's suffixes in one variable's bit range; they
         share that variable, so a group lies within one part. A part grows
         from one group: each pass over the pending groups takes in every
         group whose variable mask meets the part's, until a pass adds
         nothing. The first pass is the upward scan of the residual's binary
         digits that finds the groups, so a connected residual is seen in
-        one scan. A group of one id has that id's mask; a larger one's is
+        one scan. A group of one suffix has its mask; a larger one's is
         memoized per variable, keyed by its digits. Later passes walk down
         and up in turn, so a part may be seeded above its lowest variable:
         the parts are sorted at the end.
@@ -274,9 +272,11 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
     def restrict(residual: int, var: int) -> list[int]:
         """The residuals under var false and var true, lo first.
 
-        var is the lowest variable of the residual, so only the ids in its
-        bit range mention it, as their first literal: a satisfied one drops
-        its clause, a falsified one leaves the rest of the clause.
+        var is the lowest variable of the residual, so only the suffixes in
+        its bit range mention it, as their first literal: a satisfied one
+        drops its clause, a falsified one leaves the rest of the clause. A
+        falsified unit clause leaves the empty clause, and the residual is
+        FALSE, 1.
         """
         low, high = start[var], start[var + 1]
         lo = hi = residual >> high << high
@@ -285,19 +285,19 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
             bit = group & -group
             b = low + bit.bit_length() - 1
             if bit_lit[b] > 0:
-                lo |= bit_rest[b]
+                lo |= 1 << bit_rest[b]
             else:
-                hi |= bit_rest[b]
+                hi |= 1 << bit_rest[b]
             group ^= bit
-        return [lo, hi]
+        return [1 if lo & 1 else lo, 1 if hi & 1 else hi]
 
     def refuted(residual: int) -> bool:
         """Whether one wave of unit propagation refutes the residual.
 
         All of the residual's unit clauses are assigned at once: it is
         refuted when two of them clash or some clause has every literal
-        falsified by them. Only the ids that hold a negated unit literal
-        can be falsified, so only those are looked at.
+        falsified by them. Only the suffixes that hold a negated unit
+        literal can be falsified, so only those are looked at.
         """
         left = residual & unit_bits
         if not left:
@@ -321,13 +321,6 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
             against ^= bit
         return False
 
-    def known(residual: int) -> int | None:
-        if not residual:
-            return TRUE_ID
-        if residual & 1:
-            return FALSE_ID
-        return memo.get(residual)
-
     # Shannon expansion with an explicit stack, creating nodes in
     # depth-first, lo-before-hi order. A residual is visited twice: first
     # it pushes a record (residual, var, subs) above its subs, then the
@@ -335,9 +328,6 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
     # The top and each restriction are checked by refuted before they are
     # expanded; a part needs no check of its own, as its units and clauses
     # are some of a checked residual's and a clash stays within one part.
-    top = 0
-    for sid in top_ids:
-        top |= 1 << bit_of[sid]
     if refuted(top):
         memo[top] = FALSE_ID
     stack: list = [top]
@@ -345,10 +335,10 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
         item = stack.pop()
         if isinstance(item, tuple):
             residual, var, subs = item
-            ids = [known(sub) for sub in subs]
+            ids = [memo[sub] for sub in subs]
             memo[residual] = make_conj(ids) if var is None else make_decision(var, *ids)
             continue
-        if known(item) is not None:
+        if item in memo:
             continue
         subs = components(item)
         var = None
@@ -356,11 +346,11 @@ def compile_cnf(formula: CnfFormula, ordering: VariableOrdering | None = None,
             var = bit_var[(item & -item).bit_length() - 1]
             subs = restrict(item, var)
             for sub in subs:
-                if known(sub) is None and refuted(sub):
+                if sub not in memo and refuted(sub):
                     memo[sub] = FALSE_ID
         stack.append((item, var, subs))
         stack.extend(reversed(subs))
-    prob.root = known(top)
+    prob.root = memo[top]
     return prob
 
 
@@ -496,13 +486,7 @@ def import_prob(text: str) -> Prob:
         else:
             raise ParseError(f"node {nid}: unknown node kind {kind!r}")
 
-    root_parts = lines[3 + num_nodes].split()
-    if len(root_parts) != 2 or root_parts[0] != "root":
-        raise ParseError(f"expected 'root <id>', got {lines[3 + num_nodes]!r}")
-    try:
-        root = int(root_parts[1])
-    except ValueError as exc:
-        raise ParseError("expected 'root <id>'") from exc
+    root = expect_int_field(3 + num_nodes, "root")
     if not 0 <= root < num_nodes:
         raise ParseError(f"root id {root} does not exist")
     prob.root = root

@@ -136,6 +136,7 @@ class TestCompile:
         prob = compile_cnf(CnfFormula(2, ((), (1, 2))))
         assert prob.root == FALSE_ID
         assert prob.node_count == 1
+        assert len(prob.nodes) == 2  # the other clause is never expanded
 
     def test_variable_guard(self):
         with pytest.raises(GuardError):
@@ -175,12 +176,14 @@ class TestCompile:
             assert np.array_equal(diagram_models(prob), model_masks(formula))
             assert "determinism" not in violated(prob)
 
-    @given(raw_formulas())
+    @given(raw_formulas(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_smoothed_models_match_oracle(self, formula):
+    def test_smoothed_models_match_oracle(self, formula, data):
         expected = model_masks(formula)
-        for heuristic in ("natural", "occ"):
-            prob = smooth(compile_cnf(formula, choose_ordering(formula, heuristic)))
+        permutation = VariableOrdering(data.draw(st.permutations(range(1, formula.num_vars + 1))))
+        orderings = [choose_ordering(formula, heuristic) for heuristic in ("natural", "occ")]
+        for ordering in orderings + [permutation]:
+            prob = smooth(compile_cnf(formula, ordering))
             assert np.array_equal(diagram_models(prob), expected)
 
     @given(unit_heavy_formulas())
@@ -345,6 +348,21 @@ class TestTextFormat:
         assert back.smooth
         assert export_prob(back) == text
 
+    def test_smoothing_an_import_equals_smoothing_the_compile(self):
+        # `probdd compile --smooth` smooths the compiled diagram, `probdd
+        # smooth` the diagram that `probdd compile` wrote: both must write
+        # the same text.
+        rng = random.Random(29)
+        formulas = [compile_heavy_formula()]
+        for _ in range(500):
+            n = rng.randint(1, 14)
+            formulas.append(random_mixed_cnf(rng, n, rng.randint(0, 3 * n)))
+        for formula in formulas:
+            for heuristic in ("natural", "occ"):
+                prob = compile_cnf(formula, choose_ordering(formula, heuristic))
+                text = export_prob(prob)
+                assert export_prob(smooth(prob)) == export_prob(smooth(import_prob(text)))
+
     def test_round_trip_with_parameters(self):
         rng = random.Random(23)
         for _ in range(20):
@@ -390,6 +408,8 @@ class TestTextFormat:
             ("prob 1.0\nnvars 1\n", "missing 'nnodes' line"),
             ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 A\nroot 2\n", "conjunction lines are"),
             ("prob 1.0\nnvars 0\nnnodes 2\n0 F\n1 T\nroot 5\n", "root id 5 does not exist"),
+            ("prob 1.0\nnvars 0\nnnodes 2\n0 F\n1 T\nroot x\n", "expected 'root <int>', got 'root x'"),
+            ("prob 1.0\nnvars 0\nnnodes 2\n0 F\n1 T\nroot\n", "expected 'root <int>', got 'root'"),
             ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 x 0.5\nroot 2\n", "node 2: bad parameter field"),
             ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 0.5 nan\nroot 2\n", "node 2: parameters must be finite"),
             ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0 1 -0.5 1.5\nroot 2\n", "node 2: parameters must be non-negative"),
