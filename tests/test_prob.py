@@ -2,11 +2,12 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probdd import (
@@ -58,6 +59,19 @@ def example_pre_smooth():
 def example_smooth(example_pre_smooth):
     formula, prob = example_pre_smooth
     return formula, smooth(prob)
+
+
+@st.composite
+def covered_variables(draw):
+    """(n, S): a variable count n and a sorted S of 1..n, a prefix of 1..n plus scattered variables.
+
+    n is drawn up to a few hundred or near 10**4 or 10**6, so that masks
+    pass 4096 bits and the first gaps may lie past a long covered prefix.
+    """
+    n = draw(st.one_of(st.integers(1, 300), st.integers(9_000, 11_000), st.integers(990_000, 1_000_000)))
+    prefix = draw(st.integers(0, min(n, 5000)))
+    scattered = draw(st.sets(st.integers(1, n), max_size=40))
+    return n, sorted(scattered.union(range(1, prefix + 1)))
 
 
 def weights_75():
@@ -420,6 +434,24 @@ class TestCheckers:
                       "diagram never mentions 14 variables, first [66, 67, 127, 129, 131, 132, 133, 134, 135, 136]"),
         }
         assert {nid: frozenset(mask_set(mask)) for nid, mask in var_sets(prob).items()} == naive_var_sets(prob)
+
+    @given(covered_variables())
+    @example((300, list(range(1, 301))))
+    @example((1, []))
+    @settings(max_examples=150, deadline=None)
+    def test_root_names_its_first_ten_missing_variables(self, case):
+        # A chain deciding each variable of S once, lowest at the bottom, so only the
+        # decisions above a high variable hold wide masks.
+        n, covered = case
+        prob = Prob(n)
+        node = TRUE_ID
+        for var in covered:
+            node = prob.add_decision(var, node, node)
+        prob.root = node
+        present = set(covered)
+        first = list(islice((v for v in range(1, n + 1) if v not in present), 10))
+        expected = [Violation("smoothness", prob.root, f"diagram never mentions {n - len(covered)} variables, first {first}")]
+        assert find_violations(prob) == (expected if first else [])
 
     def test_checkers_are_pure(self, example_pre_smooth):
         _, prob = example_pre_smooth
