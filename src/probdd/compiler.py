@@ -45,7 +45,7 @@ from collections import Counter
 
 from .cnf import CnfFormula, normalize_clause
 from .errors import GuardError, ParseError, StructureError
-from .prob import FALSE_ID, TRUE_ID, Prob, find_violations
+from .prob import FALSE_ID, MAX_MASK_BITS, TRUE_ID, Prob, find_violations
 
 DEFAULT_MAX_VARS = 30
 FORMAT_HEADER = "prob 1.0"
@@ -401,7 +401,9 @@ def import_prob(text: str) -> Prob:
     decomposability are validated in one walk over the reachable nodes
     (find_violations over the var_sets bitmasks), and the root is
     recorded as smoothed_root when that walk finds it smooth with full
-    variable coverage.
+    variable coverage. Ahead of the walk, a file whose node count times
+    highest decided variable exceeds MAX_MASK_BITS raises GuardError, as
+    its masks would exhaust memory.
     """
     lines = []
     for raw in text.splitlines():
@@ -491,6 +493,11 @@ def import_prob(text: str) -> Prob:
         raise ParseError(f"root id {root} does not exist")
     prob.root = root
 
+    if num_nodes * num_vars > MAX_MASK_BITS:  # no decided variable exceeds num_vars
+        top = max(node.var for node in prob.nodes)
+        if num_nodes * top > MAX_MASK_BITS:
+            raise GuardError(f"{num_nodes} nodes deciding variables up to {top} would need "
+                             f"{num_nodes * top} bits of variable masks, more than {MAX_MASK_BITS}")
     violations = find_violations(prob)
     for violation in violations:
         if violation.property_name in ("determinism", "decomposability"):

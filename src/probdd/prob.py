@@ -26,7 +26,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -41,6 +40,10 @@ MAX_ENUM_VARS = 24  # diagram_models enumerates at most 2**24 masks
 # smooth adds one don't-care decision per variable the root never mentions, and a
 # diagram file may declare any nvars: the cap keeps a tiny file from exhausting memory.
 MAX_ROOT_DONT_CARES = 1 << 16
+# var_sets keeps a mask per reachable node as wide as the highest variable below it, so
+# import_prob refuses a file whose node count times highest decided variable passes this
+# many bits (512 MiB of masks) before it builds any mask.
+MAX_MASK_BITS = 1 << 32
 # Prob.topo_structure()'s entries: (node id, kind, children, decision variable or 0).
 Structure = list[tuple[int, str, tuple[int, ...], int]]
 
@@ -239,7 +242,9 @@ def var_sets(prob: Prob) -> dict[int, int]:
     large as the set: it takes about (highest variable) / 8 bytes, and
     the dict keeps one per reachable node. A diagram that decides a
     variable near 10**8 holds a mask of about 12.5 MB for that decision
-    and for each of its ancestors.
+    and for each of its ancestors. import_prob bounds the total: it
+    raises GuardError (exit code 4) when the file's node count times its
+    highest decided variable exceeds MAX_MASK_BITS.
     """
     nodes = prob.nodes
     masks: dict[int, int] = {}
@@ -318,23 +323,15 @@ def find_violations(prob: Prob) -> list[Violation]:
     covered = kappa.get(prob.root, 0)
     mentioned = covered.bit_count()
     if prob.root != FALSE_ID and mentioned < prob.num_vars:  # the root's variables lie in 1..num_vars
-        # Name only the first ten missing variables: the gaps below the highest variable
-        # the root mentions, read in windows of doubling width from variable 1 up, so the
-        # work and the ints stay as small as where the tenth gap lies; then the variables
-        # above it. Nothing here grows with num_vars.
-        top = covered.bit_length()
+        # Name only the first ten missing variables: the gaps between the variables the
+        # root mentions, closed by num_vars + 1. mask_variables skips a wide mask's empty
+        # halves, so no digit string is as wide as the highest variable, and each gap is
+        # a sliced range, so nothing here grows with num_vars.
         first: list[int] = []
-        start, width = 1, 64
-        while len(first) < 10 and start < top:
-            end = min(start + width, top)
-            window = (1 << end) - (1 << start)  # bits start..end-1
-            gaps = (covered & window) ^ window
-            while gaps and len(first) < 10:
-                low = gaps & -gaps
-                first.append(low.bit_length() - 1)
-                gaps ^= low
-            start, width = end, 2 * width
-        first.extend(islice(range(max(top, 1), prob.num_vars + 1), 10 - len(first)))
+        previous = 0
+        for var in [*mask_variables(covered), prob.num_vars + 1]:
+            first += range(previous + 1, var)[:10 - len(first)]
+            previous = var
         detail = f"diagram never mentions {prob.num_vars - mentioned} variables, first {first}"
         violations.append(Violation("smoothness", prob.root, detail))
     return violations

@@ -90,6 +90,16 @@ def dimacs_text(formula: CnfFormula) -> str:
     return f"p cnf {formula.num_vars} {len(formula.clauses)}\n" + clauses
 
 
+def wide_ancestors_prob(ancestors: int) -> str:
+    """A diagram file of one decision on variable 10**8 below a chain of `ancestors` decisions on 1, 2, ...
+
+    Each node's var_sets mask is 10**8 bits wide, about 12.5 MB.
+    """
+    body = "".join(f"{nid} D {nid - 2} {nid - 1} {nid - 1}\n" for nid in range(3, ancestors + 3))
+    return (f"prob 1.0\nnvars 100000000\nnnodes {ancestors + 3}\n0 F\n1 T\n2 D 100000000 0 1\n"
+            f"{body}root {ancestors + 2}\n")
+
+
 def violated(prob) -> set[str]:
     return {v.property_name for v in find_violations(prob)}
 

@@ -12,7 +12,8 @@ from probdd import (choose_ordering, compile_cnf, export_prob, parameterize, par
 from probdd.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, _write, main
 from probdd.sampler import SampleBatch
 
-from helpers import EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, force_split, mutated_exports, mutated_inputs, record_pools
+from helpers import (EXAMPLE_DIMACS, EXAMPLE_WEIGHTS, force_split, mutated_exports, mutated_inputs, record_pools,
+                     wide_ancestors_prob)
 
 NON_SMOOTH_PROB = "prob 1.0\nnvars 3\nnnodes 5\n0 F\n1 T\n2 D 2 0 1\n3 D 3 1 0\n4 D 1 2 3\nroot 4\n"
 
@@ -454,6 +455,18 @@ class TestSmoothCommand:
         out = tmp_path / "out.txt"
         assert main([*argv, "--prob", str(prob_path), "--out", str(out)]) == EXIT_GUARD
         assert "never mentions 1000000000" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["check"], ["smooth"], ["sample", "-k", "3", "--seed", "1"]])
+    def test_masks_past_the_bound_are_guard_error(self, tmp_path, capsys, argv):
+        prob_path = tmp_path / "wide.prob"
+        prob_path.write_text(wide_ancestors_prob(200))
+        out = tmp_path / "out.txt"
+        extra = [] if argv == ["check"] else ["--out", str(out)]
+        assert main([*argv, "--prob", str(prob_path), *extra]) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert "203 nodes deciding variables up to 100000000" in captured.err
+        assert "Traceback" not in captured.err
         assert not out.exists()
 
 

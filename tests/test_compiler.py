@@ -33,6 +33,7 @@ from helpers import (
     random_mixed_cnf,
     random_weights,
     violated,
+    wide_ancestors_prob,
 )
 
 # One decision whose branch parameters sum to 0 instead of 1.
@@ -521,3 +522,24 @@ class TestTextFormat:
                 tracemalloc.stop()
             assert peak < masks * mask_bytes
             assert [violation.detail for violation in find_violations(prob)] == details
+
+    def test_import_refuses_masks_past_the_bound(self):
+        # 203 nodes of 10**8-bit masks would ask for about 2.5 GB; the file is refused
+        # before any mask is built.
+        text = wide_ancestors_prob(200)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match="203 nodes deciding variables up to 100000000"):
+                import_prob(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_import_of_a_wide_chain_is_not_refused(self):
+        # 2,000 variables and as many nodes, before and after smoothing: far below the
+        # bound, whose node count times nvars test is then the only work the guard does.
+        formula = CnfFormula(2000, tuple((v, v + 1) for v in range(1, 2000)))
+        prob = compile_cnf(formula, choose_ordering(formula, "natural"), max_vars=2000)
+        for text in (export_prob(prob), export_prob(smooth(prob))):
+            assert export_prob(import_prob(text)) == text
