@@ -40,9 +40,8 @@ MAX_ENUM_VARS = 24  # diagram_models enumerates at most 2**24 masks
 # smooth adds one don't-care decision per variable the root never mentions, and a
 # diagram file may declare any nvars: the cap keeps a tiny file from exhausting memory.
 MAX_ROOT_DONT_CARES = 1 << 16
-# var_sets keeps a mask per reachable node as wide as the highest variable below it, so
-# import_prob refuses a file whose node count times highest decided variable passes this
-# many bits (512 MiB of masks) before it builds any mask.
+# import_prob refuses a file whose node count times highest decided variable exceeds this
+# many bits of var_sets masks (512 MiB), so that a short file cannot exhaust memory.
 MAX_MASK_BITS = 1 << 32
 # Prob.topo_structure()'s entries: (node id, kind, children, decision variable or 0).
 Structure = list[tuple[int, str, tuple[int, ...], int]]
@@ -242,9 +241,8 @@ def var_sets(prob: Prob) -> dict[int, int]:
     large as the set: it takes about (highest variable) / 8 bytes, and
     the dict keeps one per reachable node. A diagram that decides a
     variable near 10**8 holds a mask of about 12.5 MB for that decision
-    and for each of its ancestors. import_prob bounds the total: it
-    raises GuardError (exit code 4) when the file's node count times its
-    highest decided variable exceeds MAX_MASK_BITS.
+    and for each of its ancestors. So import_prob raises GuardError (exit
+    code 4) past MAX_MASK_BITS, node count times highest variable.
     """
     nodes = prob.nodes
     masks: dict[int, int] = {}
@@ -323,10 +321,9 @@ def find_violations(prob: Prob) -> list[Violation]:
     covered = kappa.get(prob.root, 0)
     mentioned = covered.bit_count()
     if prob.root != FALSE_ID and mentioned < prob.num_vars:  # the root's variables lie in 1..num_vars
-        # Name only the first ten missing variables: the gaps between the variables the
-        # root mentions, closed by num_vars + 1. mask_variables skips a wide mask's empty
-        # halves, so no digit string is as wide as the highest variable, and each gap is
-        # a sliced range, so nothing here grows with num_vars.
+        # Name the first ten missing variables: the gaps between the root's variables, closed
+        # by num_vars + 1. mask_variables skips a wide mask's empty halves, so no digit string
+        # is as wide as the highest variable, and each gap is a range sliced to at most ten.
         first: list[int] = []
         previous = 0
         for var in [*mask_variables(covered), prob.num_vars + 1]:
