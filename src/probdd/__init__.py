@@ -23,8 +23,6 @@ from .compiler import (
     VariableOrdering,
     choose_ordering,
     compile_cnf,
-    export_prob,
-    import_prob,
 )
 from .errors import (
     GuardError,
@@ -42,7 +40,9 @@ from .prob import (
     annotate,
     annotate_rational,
     diagram_models,
+    export_prob,
     find_violations,
+    import_prob,
     log_sum_exp,
     parameterize,
     smooth,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .cnf import CnfFormula, WeightFunction, parse_dimacs, parse_weights
-from .compiler import DEFAULT_MAX_VARS, choose_ordering, compile_cnf, export_prob, import_prob
+from .compiler import DEFAULT_MAX_VARS, choose_ordering, compile_cnf
 from .errors import (
     GuardError,
     ParseError,
@@ -28,7 +28,7 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .oracle import MAX_ORACLE_VARS, compare, exact_distribution, occurrence_histogram, occurrence_histogram_csv
-from .prob import ARITHMETICS, FALSE_ID, Prob, annotate, find_violations, parameterize, smooth
+from .prob import ARITHMETICS, FALSE_ID, Prob, annotate, export_prob, find_violations, import_prob, parameterize, smooth
 from .sampler import VISITS_PER_WORKER, run_incremental, round_reports_csv, sample
 
 EXIT_OK = 0

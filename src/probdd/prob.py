@@ -16,6 +16,11 @@ into the false terminal or with a zero branch parameter contribute
 nothing, so zero-probability nodes are missing from the annotation. The
 same routine yields, for every positive decision node, the conditional
 probability of its hi branch, which is all a sampler needs to draw.
+
+The diagram's line-oriented text format, the .prob file, is written by
+export_prob and read back by import_prob, which checks the file with
+find_violations and, as smooth() does, records a smooth root in
+smoothed_root.
 """
 
 from __future__ import annotations
@@ -31,11 +36,13 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .cnf import WeightFunction
-from .errors import GuardError, StructureError
+from .errors import GuardError, ParseError, StructureError
 
 FALSE_ID = 0
 TRUE_ID = 1
 NEG_INF = float("-inf")
+FORMAT_HEADER = "prob 1.0"
+THETA_SUM_TOL = 1e-12  # how far a decision line's two parameters may sum from 1
 MAX_ENUM_VARS = 24  # diagram_models enumerates at most 2**24 masks
 # smooth adds one don't-care decision per variable the root never mentions, and a
 # diagram file may declare any nvars: the cap keeps a tiny file from exhausting memory.
@@ -434,6 +441,162 @@ def smooth(prob: Prob) -> Prob:
     if missing_root:
         prob.root = wrap(prob.root, missing_root)
     prob.smoothed_root = prob.root
+    return prob
+
+
+def export_prob(prob: Prob) -> str:
+    """Serialize to the line-oriented text format.
+
+    Node ids are renumbered densely in bottom-up topological order with
+    the terminals pinned at 0 and 1, so structurally identical diagrams
+    export byte-identically.
+    """
+    remap = {FALSE_ID: 0, TRUE_ID: 1}
+    parameterized = prob.parameterized
+    body: list[str] = []
+    next_id = 2
+    for nid in prob.topo_order():
+        node = prob.nodes[nid]
+        if node.kind in ("T", "F"):
+            continue
+        remap[nid] = next_id
+        if node.kind == "D":
+            line = f"{next_id} D {node.var} {remap[node.lo]} {remap[node.hi]}"
+            if parameterized:
+                line += f" {node.theta_lo!r} {node.theta_hi!r}"
+        else:
+            line = f"{next_id} A {len(node.children)} " + " ".join(str(remap[c]) for c in node.children)
+        body.append(line)
+        next_id += 1
+    lines = [
+        FORMAT_HEADER,
+        f"nvars {prob.num_vars}",
+        f"nnodes {next_id}",
+        "0 F",
+        "1 T",
+        *body,
+        f"root {remap[prob.root]}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def import_prob(text: str) -> Prob:
+    """Parse the text format back into a diagram.
+
+    Each node line is checked as the arena adds it: a child must be an
+    earlier node, which rules out cycles and dangling references.
+    Branch parameters must be present on either all or none of the
+    decision lines, and each pair is checked on its line: finite,
+    non-negative and summing to 1 within THETA_SUM_TOL. Determinism and
+    decomposability are validated in one walk over the reachable nodes
+    (find_violations over the var_sets bitmasks), and the root is
+    recorded as smoothed_root when that walk finds it smooth with full
+    variable coverage. Ahead of the walk, a file whose node count times
+    highest decided variable exceeds MAX_MASK_BITS raises GuardError, as
+    its masks would exhaust memory.
+    """
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    if not lines or not lines[0].startswith("prob "):
+        raise ParseError("missing 'prob <version>' header")
+    if lines[0] != FORMAT_HEADER:
+        raise ParseError(f"unsupported format version {lines[0]!r}")
+
+    def expect_int_field(index: int, name: str) -> int:
+        if index >= len(lines):
+            raise ParseError(f"missing '{name}' line")
+        parts = lines[index].split()
+        if len(parts) != 2 or parts[0] != name:
+            raise ParseError(f"expected '{name} <int>', got {lines[index]!r}")
+        try:
+            return int(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"expected '{name} <int>', got {lines[index]!r}") from exc
+
+    num_vars = expect_int_field(1, "nvars")
+    num_nodes = expect_int_field(2, "nnodes")
+    if num_vars < 0 or num_nodes < 2:
+        raise ParseError("nvars must be non-negative and nnodes at least 2")
+    if len(lines) != 3 + num_nodes + 1:
+        raise ParseError(f"expected {num_nodes} node lines plus a root line, found {len(lines) - 3} lines after nnodes")
+
+    prob = Prob(num_vars)
+    saw_theta: bool | None = None
+    for nid in range(num_nodes):
+        parts = lines[3 + nid].split()
+        if not parts or parts[0] != str(nid):
+            raise ParseError(f"node line {nid} must start with id {nid}, got {lines[3 + nid]!r}")
+        kind = parts[1] if len(parts) > 1 else ""
+        if nid == 0 or nid == 1:
+            expected = "F" if nid == 0 else "T"
+            if parts[1:] != [expected]:
+                raise ParseError(f"node {nid} must be '{nid} {expected}'")
+            continue
+        if kind == "D":
+            if len(parts) not in (5, 7):
+                raise ParseError(f"node {nid}: decision lines are '<id> D <var> <lo> <hi> [<theta_lo> <theta_hi>]'")
+            # the arena's next slot is nid, so a child it does not hold yet is a forward reference
+            try:
+                made = prob.add_decision(int(parts[2]), int(parts[3]), int(parts[4]))
+            except ValueError as exc:
+                raise ParseError(f"node {nid}: {exc}") from exc
+            has_theta = len(parts) == 7
+            if saw_theta is None:
+                saw_theta = has_theta
+            elif saw_theta != has_theta:
+                raise ParseError(f"node {nid}: branch parameters must appear on all decision lines or none")
+            if has_theta:
+                node = prob.nodes[made]
+                try:
+                    node.theta_lo, node.theta_hi = float(parts[5]), float(parts[6])
+                except ValueError as exc:
+                    raise ParseError(f"node {nid}: bad parameter field") from exc
+                if not (math.isfinite(node.theta_lo) and math.isfinite(node.theta_hi)):
+                    raise ParseError(f"node {nid}: parameters must be finite")
+                if node.theta_lo < 0 or node.theta_hi < 0:
+                    raise ParseError(f"node {nid}: parameters must be non-negative")
+                if abs(node.theta_lo + node.theta_hi - 1.0) > THETA_SUM_TOL:
+                    raise StructureError(
+                        f"node {nid}: branch parameters sum to {node.theta_lo + node.theta_hi!r}, not 1",
+                        property_name="parameters",
+                        node_id=nid,
+                    )
+        elif kind == "A":
+            if len(parts) < 3:
+                raise ParseError(f"node {nid}: conjunction lines are '<id> A <k> <children...>'")
+            try:
+                arity = int(parts[2])
+                children = [int(p) for p in parts[3:]]
+                if arity != len(children):
+                    raise ValueError(f"arity {arity} does not match {len(children)} children")
+                prob.add_conj(children)
+            except ValueError as exc:
+                raise ParseError(f"node {nid}: {exc}") from exc
+        else:
+            raise ParseError(f"node {nid}: unknown node kind {kind!r}")
+
+    root = expect_int_field(3 + num_nodes, "root")
+    if not 0 <= root < num_nodes:
+        raise ParseError(f"root id {root} does not exist")
+    prob.root = root
+
+    if num_nodes * num_vars > MAX_MASK_BITS:  # no decided variable exceeds num_vars
+        top = max(node.var for node in prob.nodes)
+        if num_nodes * top > MAX_MASK_BITS:
+            raise GuardError(f"{num_nodes} nodes deciding variables up to {top} would need "
+                             f"{num_nodes * top} bits of variable masks, more than {MAX_MASK_BITS}")
+    violations = find_violations(prob)
+    for violation in violations:
+        if violation.property_name in ("determinism", "decomposability"):
+            raise StructureError(
+                f"{violation.property_name} violated at node {violation.node_id}: {violation.detail}",
+                property_name=violation.property_name,
+                node_id=violation.node_id,
+            )
+    prob.smoothed_root = None if any(v.property_name == "smoothness" for v in violations) else root
     return prob
 
 
