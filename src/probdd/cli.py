@@ -38,6 +38,8 @@ EXIT_PROPERTY = 3
 EXIT_GUARD = 4
 
 SEED_ENV_VAR = "PROB_SAMPLER_SEED"
+# smooth() leaves the don't-care decisions it adds without parameters, so a parameterized file loses them
+_PARAMETERS_DROPPED = "smoothing added decisions without branch parameters"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,7 +126,7 @@ def _load_weights(args, num_vars: int, imported: bool = False, kept: bool = Fals
         return parse_weights(_read(args.weights), CnfFormula(num_vars, ()))
     if imported and kept:
         return None
-    why = "smoothing added decisions without branch parameters" if imported else "no weights given"
+    why = _PARAMETERS_DROPPED if imported else "no weights given"
     print(f"warning: {why}, sampling uniformly", file=sys.stderr)
     return WeightFunction.uniform()
 
@@ -157,7 +159,10 @@ def cmd_compile(args) -> int:
 
 def cmd_smooth(args) -> int:
     prob = import_prob(_read(args.prob))
+    parameterized = prob.parameterized
     smooth(prob)
+    if parameterized and not prob.parameterized:
+        print(f"warning: {_PARAMETERS_DROPPED}, so the output has no parameters", file=sys.stderr)
     _write(args.out, [export_prob(prob)])
     return EXIT_OK
 

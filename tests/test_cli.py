@@ -448,6 +448,23 @@ class TestSmoothCommand:
         assert "nnodes 9" in out.read_text()
         assert main(["check", "--prob", str(out)]) == EXIT_OK
 
+    @pytest.mark.parametrize("num_vars, params, warned", [
+        (2, " 0.3 0.7", True),  # variable 2 needs a new don't-care decision, which has no parameters
+        (1, " 0.3 0.7", False),  # already smooth: written back as read
+        (2, "", False),  # no parameters to drop
+    ])
+    def test_warns_when_parameters_are_dropped(self, tmp_path, capsys, num_vars, params, warned):
+        prob_path = tmp_path / "in.prob"
+        prob_path.write_text(f"prob 1.0\nnvars {num_vars}\nnnodes 3\n0 F\n1 T\n2 D 1 0 1{params}\nroot 2\n")
+        out = tmp_path / "out.prob"
+        assert main(["smooth", "--prob", str(prob_path), "--out", str(out)]) == EXIT_OK
+        dropped = "warning: smoothing added decisions without branch parameters, so the output has no parameters\n"
+        assert capsys.readouterr().err == (dropped if warned else "")
+        if num_vars == 1:
+            assert out.read_text() == prob_path.read_text()
+        else:
+            assert "0.3" not in out.read_text()
+
     @pytest.mark.parametrize("argv", [["smooth"], ["sample", "-k", "3", "--seed", "1"]])
     def test_huge_declared_variable_count_is_guard_error(self, tmp_path, capsys, argv):
         prob_path = tmp_path / "huge.prob"
