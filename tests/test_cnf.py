@@ -1,4 +1,5 @@
 import logging
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,8 @@ class TestParseDimacs:
             "p cnf 2 1\n1 0\n2 0\n",
             "p cnf 2 1\np cnf 2 1\n1 0\n",
             "c only a comment\n",
+            "p cnf -1 0\n",
+            "p cnf 2 1\n1 x 0\n",
         ],
     )
     def test_malformed_inputs(self, text):
@@ -120,6 +123,17 @@ class TestWeights:
         with pytest.raises(ParseError):
             parse_weights("w 9 0.5\n", formula)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("w 1\n", "line 1: expected 'w <literal> <weight>', got 'w 1'"),
+            ("w 1 0.5\nw x 0.5\n", "line 2: bad literal 'x'"),
+        ],
+    )
+    def test_malformed_lines_name_their_line(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_weights(text, CnfFormula(1, ()))
+
     def test_non_numeric_weight_rejected(self):
         formula = parse_dimacs(EXAMPLE_DIMACS)
         with pytest.raises(ParseError, match="bad weight 'abc'"):
@@ -134,3 +148,31 @@ class TestWeights:
         weights = WeightFunction({1: 0.0})
         assert weights[1] == 0.0
         assert weights[-1] == 1.0
+
+    def test_repeated_literal_keeps_the_later_weight(self, caplog):
+        with caplog.at_level(logging.INFO, logger="probdd.cnf"):
+            weights = parse_weights("w 1 0.5\nw 1 2.0\n", CnfFormula(1, ()))
+        assert weights[1] == 2.0
+        assert any("given twice" in rec.message for rec in caplog.records)
+
+    def test_equal_only_to_weight_functions(self):
+        assert WeightFunction({1: 2.0}) == WeightFunction({1: 2.0, -1: 1.0})
+        assert WeightFunction({1: 2.0}) != {1: 2.0}
+
+
+class TestConstructors:
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            pytest.param(lambda: CnfFormula(-1, ()), ValueError, "num_vars must be non-negative", id="negative-num-vars"),
+            pytest.param(lambda: CnfFormula(2, ((1, 0),)), ValueError, "literal 0 out of range", id="literal-0"),
+            pytest.param(lambda: CnfFormula(2, ((-3,),)), ValueError, "literal -3 out of range for 2", id="literal-past-num-vars"),
+            pytest.param(lambda: WeightFunction({0: 1.0}), WeightError, "literal 0 is not valid", id="weight-of-literal-0"),
+            pytest.param(lambda: WeightFunction({1: -0.5}), WeightError, "non-negative, got -0.5", id="negative-weight"),
+            pytest.param(lambda: WeightFunction({-2: math.inf}), WeightError, "non-negative, got inf", id="infinite-weight"),
+            pytest.param(lambda: WeightFunction({2: math.nan}), WeightError, "non-negative, got nan", id="nan-weight"),
+        ],
+    )
+    def test_bad_values_are_refused(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()

@@ -115,6 +115,10 @@ class TestChooseOrdering:
         with pytest.raises(ValueError):
             VariableOrdering((1, 3))
 
+    def test_ordering_must_cover_the_formula(self):
+        with pytest.raises(ValueError, match="cover exactly the formula's variables"):
+            compile_cnf(CnfFormula(2, ()), VariableOrdering((1,)))
+
 
 class TestCompile:
     def test_worked_example_structure(self):
@@ -423,6 +427,13 @@ class TestTextFormat:
             # the count is reported ahead of the faulty node line 2
             ("prob 1.0\nnvars 1\nnnodes 4\n0 F\n1 T\n2 Q\nroot 2\n",
              "expected 4 node lines plus a root line, found 4 lines after nnodes"),
+            ("prob 1.0\nnvars -1\nnnodes 2\n0 F\n1 T\nroot 1\n", "nvars must be non-negative and nnodes at least 2"),
+            ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n3 D 1 0 1\nroot 2\n", "node line 2 must start with id 2, got '3 D 1 0 1'"),
+            ("prob 1.0\nnvars 0\nnnodes 2\n0 F\n1 F\nroot 1\n", "node 1 must be '1 T'"),
+            ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 1 0\nroot 2\n", "node 2: decision lines are"),
+            ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 D 2 0 1\nroot 2\n", "node 2: decision variable 2 out of range"),
+            ("prob 1.0\nnvars 1\nnnodes 4\n0 F\n1 T\n2 A 2 1 3\n3 D 1 0 1\nroot 2\n", "node 2: child id 3 does not exist"),
+            ("prob 1.0\nnvars 1\nnnodes 3\n0 F\n1 T\n2 Q\nroot 2\n", "node 2: unknown node kind 'Q'"),
         ],
     )
     def test_import_rejects_malformed_lines(self, text, message):

@@ -16,6 +16,7 @@ from probdd import (
 )
 from probdd.errors import GuardError, SoundnessError, ZeroProbabilityError
 from probdd.oracle import (
+    ExactDistribution,
     expected_occurrence_histogram,
     occurrence_chi_square,
     occurrence_histogram,
@@ -177,6 +178,21 @@ class TestCompare:
         dist = exact_distribution(formula, WeightFunction.uniform())
         with pytest.raises(ValueError):
             compare(batch_from_masks([], 3), dist)
+
+    @pytest.mark.parametrize(
+        "batch, models, error, message",
+        [
+            pytest.param(batch_from_masks([1], 3), 0, ValueError, "empty support", id="empty-support"),
+            pytest.param(SampleBatch(masks=np.zeros((1, 2), dtype=np.uint64), num_vars=65), 4, GuardError,
+                         "at most 64 variables", id="two-mask-words"),
+        ],
+    )
+    def test_unscorable_inputs_rejected(self, batch, models, error, message):
+        exact = exact_distribution(parse_dimacs(EXAMPLE_DIMACS), WeightFunction.uniform())
+        # the first `models` of the example's four: a distribution built by hand may have none
+        exact = ExactDistribution(exact.masks[:models], exact.probs[:models], exact.normalization, 3)
+        with pytest.raises(error, match=message):
+            compare(batch, exact)
 
 
 class TestSatisfiesMasks:

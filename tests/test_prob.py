@@ -33,7 +33,7 @@ from probdd import (
 )
 from probdd.errors import GuardError, StructureError, WeightError
 from probdd.oracle import satisfies_masks
-from probdd.prob import FALSE_ID, MAX_ROOT_DONT_CARES, TRUE_ID, Node, Violation, mask_variables
+from probdd.prob import FALSE_ID, MAX_ENUM_VARS, MAX_ROOT_DONT_CARES, TRUE_ID, Node, Violation, mask_variables
 
 from helpers import (
     EXAMPLE_DIMACS,
@@ -727,3 +727,19 @@ class TestWeightedModelCount:
             if count:
                 log_value = weighted_model_count(prob, WeightFunction.uniform(), "log")
                 assert math.isclose(log_value, count, rel_tol=1e-9)
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(lambda: Prob(-1), ValueError, "num_vars must be non-negative", id="negative-num-vars"),
+            pytest.param(lambda: weighted_model_count(compile_cnf(parse_dimacs(EXAMPLE_DIMACS)), WeightFunction.uniform()),
+                         StructureError, "requires a smoothed diagram", id="count-not-smooth"),
+            pytest.param(lambda: diagram_models(Prob(MAX_ENUM_VARS + 1)), GuardError,
+                         f"{MAX_ENUM_VARS + 1} variables exceed the enumeration guard", id="enumeration-guard"),
+        ],
+    )
+    def test_bad_arguments_are_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

@@ -141,6 +141,20 @@ class TestSample:
         with pytest.raises(ZeroProbabilityError):
             sample(prob, 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda prob: sample(prob, 0, seed=0), "k must be at least 1", id="k-0"),
+            pytest.param(lambda prob: sample(prob, 1, seed=0, mode="bogus"), "unknown mode 'bogus'", id="unknown-mode"),
+            pytest.param(lambda prob: run_incremental(CnfFormula(1, ()), WeightFunction.uniform(), rounds=0, k=1),
+                         "rounds and k must be at least 1", id="rounds-0"),
+        ],
+    )
+    def test_bad_arguments_are_refused(self, call, message):
+        _, prob = example_prob()
+        with pytest.raises(ValueError, match=message):
+            call(prob)
+
     def test_diagram_without_variables_samples_empty_models(self):
         prob = smooth(compile_cnf(CnfFormula(0, ())))
         parameterize(prob, WeightFunction.uniform())
